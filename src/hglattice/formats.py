@@ -12,8 +12,19 @@ import csv
 import io
 import json
 
-from .core import BitVec, Hypergraph, IncidenceMatrix, IngestionError, from_edge_list
-from .lattice import Concept, ConceptLattice
+from .core import (
+    Hypergraph,
+    IncidenceMatrix,
+    IngestionError,
+    from_edge_list,
+    iter_bits,
+)
+from .lattice import (
+    ConceptLattice,
+    ExtentFamilyError,
+    concept_neighbours,
+    lattice_from_neighbours,
+)
 
 
 class ParseError(ValueError):
@@ -134,132 +145,121 @@ def _require(condition: bool, message: str):
         raise ParseError(message)
 
 
+_JSON_KINDS = {dict: "an object", list: "an array", int: "an integer", str: "a string"}
+
+
+def _field(obj: dict, key: str, kind: type, where: str):
+    """``obj[key]``, which must be present and exactly of ``kind``: a JSON
+    ``true`` is not an integer."""
+    value = obj.get(key)
+    _require(type(value) is kind,
+             f"{where}: {key!r} is missing or not {_JSON_KINDS[kind]}")
+    return value
+
+
+def _name_table(hg: dict, key: str) -> tuple[str, ...]:
+    names = _field(hg, key, list, "hypergraph")
+    _require(all(type(name) is str for name in names),
+             f"hypergraph: {key!r} must hold only strings")
+    return tuple(names)
+
+
+def _bits_of(rec: dict, key: str, index: dict[str, int], where: str) -> int:
+    """Bit set of the names listed under ``rec[key]``."""
+    bits = 0
+    names = _field(rec, key, list, where)
+    for name in names:
+        # The tables hold only strings, so a name of any other type is
+        # unknown too.
+        try:
+            bits |= 1 << index[name]
+        except (KeyError, TypeError):
+            raise ParseError(f"{where}: unknown name {name!r} in {key!r}") from None
+    _require(bits.bit_count() == len(names), f"{where}: {key!r} repeats a name")
+    return bits
+
+
 def document_to_lattice(doc: dict) -> ConceptLattice:
     """Rebuild the canonical lattice from its document form.
 
-    Extents are taken from the node records, the order and covers are
-    recomputed from them, and the stored covers/top/bottom are
-    cross-checked so a tampered document fails instead of producing an
-    inconsistent lattice.
+    Every field is type-checked. Extents are taken from the node records
+    and edge columns from the nodes that introduce them; intents, covers,
+    top and bottom are then recomputed by the builder's per-node rule
+    (``concept_neighbours``) and the stored ones must agree, so a tampered
+    document fails instead of producing an inconsistent lattice.
     """
     _require(isinstance(doc, dict), "document must be a JSON object")
     _require(doc.get("format") == DOCUMENT_FORMAT,
              f"unsupported document format {doc.get('format')!r}")
-    hg = doc["hypergraph"]
-    vertex_names = tuple(hg["vertices"])
-    edge_names = tuple(hg["edges"])
+    hg = _field(doc, "hypergraph", dict, "document")
+    vertex_names = _name_table(hg, "vertices")
+    edge_names = _name_table(hg, "edges")
     _require(hg.get("n_vertices") == len(vertex_names),
              "vertex table does not match n_vertices")
     _require(hg.get("n_edges") == len(edge_names),
              "edge table does not match n_edges")
+    duplicates = hg.get("duplicate_edges", {})
+    _require(type(duplicates) is dict,
+             "hypergraph: 'duplicate_edges' is not an object")
     vidx = {name: i for i, name in enumerate(vertex_names)}
     eidx = {name: i for i, name in enumerate(edge_names)}
     nv, ne = len(vertex_names), len(edge_names)
 
-    records = doc["nodes"]
-    _require([rec.get("id") for rec in records] == list(range(len(records))),
-             "node ids must be 0..n-1 in order")
+    records = _field(doc, "nodes", list, "document")
     extents = []
     intents = []
     introduces = []
-    for rec in records:
-        try:
-            ext = sum(1 << vidx[name] for name in rec["extent"])
-            intn = sum(1 << eidx[name] for name in rec["intent"])
-            intro = sum(1 << eidx[name] for name in rec["introduces"])
-        except KeyError as exc:
-            raise ParseError(f"node {rec['id']}: unknown name {exc.args[0]!r}")
-        extents.append(ext)
-        intents.append(intn)
-        introduces.append(intro)
-    _require(len(set(extents)) == len(extents), "node extents must be distinct")
+    for i, rec in enumerate(records):
+        where = f"node {i}"
+        _require(type(rec) is dict, f"{where}: not an object")
+        _require(rec.get("id") == i, "node ids must be 0..n-1 in order")
+        extents.append(_bits_of(rec, "extent", vidx, where))
+        intents.append(_bits_of(rec, "intent", eidx, where))
+        introduces.append(_bits_of(rec, "introduces", eidx, where))
 
     # Edge columns are recovered from the nodes that introduce each edge.
     columns = [None] * ne
     for i, intro in enumerate(introduces):
-        bits = intro
-        while bits:
-            low = bits & -bits
-            j = low.bit_length() - 1
+        for j in iter_bits(intro):
             _require(columns[j] is None,
                      f"edge {edge_names[j]!r} introduced at more than one node")
             columns[j] = extents[i]
-            bits ^= low
     _require(all(col is not None for col in columns),
              "every edge must be introduced at exactly one node")
     _require(len(set(columns)) == ne, "duplicate edge columns in document")
-    h = Hypergraph(
-        vertex_names, edge_names, IncidenceMatrix(nv, ne, tuple(columns))
-    )
-    for i, ext in enumerate(extents):
-        derived = sum(
-            1 << j for j, col in enumerate(columns) if ext & col == ext
-        )
-        _require(derived == intents[i],
-                 f"node {i}: stored intent disagrees with edge columns")
-
-    n_nodes = len(extents)
-    up_masks = []
-    for i in range(n_nodes):
-        acc = 0
-        for j in range(n_nodes):
-            if i != j and extents[i] & extents[j] == extents[i]:
-                acc |= 1 << j
-        up_masks.append(acc)
-    cover_masks = []
-    for i in range(n_nodes):
-        reachable = 0
-        bits = up_masks[i]
-        while bits:
-            low = bits & -bits
-            reachable |= up_masks[low.bit_length() - 1]
-            bits ^= low
-        cover_masks.append(up_masks[i] & ~reachable)
-
-    covers = sorted(
-        [i, j]
-        for i in range(n_nodes)
-        for j in range(n_nodes)
-        if (cover_masks[i] >> j) & 1
-    )
-    _require(covers == [list(p) for p in doc["covers"]],
-             "stored covers disagree with node extents")
-
-    full = (1 << nv) - 1
-    _require(full in extents, "lattice top (full vertex set) is missing")
-    top_index = extents.index(full)
-    _require(doc.get("top") == top_index, "stored top id is wrong")
-    all_mask = (1 << n_nodes) - 1
-    bottom_index = next(
-        i for i in range(n_nodes) if up_masks[i] | (1 << i) == all_mask
-    )
-    _require(doc.get("bottom") == bottom_index, "stored bottom id is wrong")
-
-    node_by_extent = {e: i for i, e in enumerate(extents)}
     try:
-        edge_anchors = tuple(node_by_extent[col] for col in columns)
-    except KeyError:
-        raise ParseError("an edge column is not a node extent")
+        h = Hypergraph(
+            vertex_names, edge_names, IncidenceMatrix(nv, ne, tuple(columns))
+        )
+    except IngestionError as exc:
+        raise ParseError(str(exc)) from exc
 
-    nodes = tuple(
-        Concept(BitVec(nv, e), BitVec(ne, b)) for e, b in zip(extents, intents)
-    )
     aliases = {name: j for j, name in enumerate(edge_names)}
-    for dup, rep in hg.get("duplicate_edges", {}).items():
-        _require(rep in eidx, f"duplicate edge {dup!r} maps to unknown {rep!r}")
+    for dup, rep in duplicates.items():
+        _require(type(rep) is str and rep in eidx,
+                 f"duplicate edge {dup!r} maps to unknown {rep!r}")
+        _require(dup not in eidx, f"duplicate edge {dup!r} is also an edge")
         aliases[dup] = eidx[rep]
 
-    return ConceptLattice(
-        hypergraph=h,
-        nodes=nodes,
-        up_masks=tuple(up_masks),
-        cover_masks=tuple(cover_masks),
-        top_index=top_index,
-        bottom_index=bottom_index,
-        edge_anchors=edge_anchors,
-        introduced=tuple(BitVec(ne, b) for b in introduces),
-        edge_aliases=aliases,
-    )
+    full = (1 << nv) - 1
+    neighbours = {x: concept_neighbours(x, columns, full) for x in extents}
+    try:
+        lat = lattice_from_neighbours(h, neighbours, edge_aliases=aliases)
+    except ExtentFamilyError as exc:
+        raise ParseError(str(exc)) from exc
+    _require([node.extent.bits for node in lat.nodes] == extents,
+             "node extents must be distinct and in canonical order")
+    for i, node in enumerate(lat.nodes):
+        _require(node.intent.bits == intents[i],
+                 f"node {i}: stored intent disagrees with edge columns")
+    covers = sorted([lo, hi] for lo, hi in lat.covers)
+    _require(_field(doc, "covers", list, "document") == covers,
+             "stored covers disagree with node extents")
+    _require(_field(doc, "top", int, "document") == lat.top_index,
+             "stored top id is wrong")
+    _require(_field(doc, "bottom", int, "document") == lat.bottom_index,
+             "stored bottom id is wrong")
+    return lat
 
 
 def parse_lattice_document(text: str) -> ConceptLattice:

@@ -1,16 +1,25 @@
 """Concept lattice construction for hypergraph incidence matrices.
 
-Two builders produce the same lattice object: a plain pairwise-intersection
-fixpoint over Python ints, and a vectorized one that batches whole-matrix
-Boolean conjunctions with numpy and derives the containment relation from
-packed-word matrix comparisons. Their outputs are canonically ordered and
-must compare equal byte for byte; the test suite enforces that, plus
-agreement with an independent powerset enumeration of the concepts.
-
 Node extents are exactly the closure of the edge columns under pairwise
 intersection, together with the full vertex set as top. Ordered by extent
 containment this family is a lattice: meets exist because the extent family
 is intersection closed.
+
+Two builders produce the same lattice object, both over plain Python ints.
+The production builder closes each extent it finds against the edge
+columns only, since every intersection of columns is reached one column
+at a time: the closure step of Close-by-One / Norris-style algorithms
+(Kuznetsov & Obiedkov, JETAI 14, 2002). That one pass over the columns
+also gives the node's intent and its lower covers, the maximal sets among
+X & c for the columns c that do not contain X (the dual of Lindig's
+neighbour step, "Fast Concept Analysis", 2000). The builder walks down
+from the top along these lower covers, and the document loader checks
+stored intents and covers with the same per-node rule. The naive builder
+intersects new extents with all known ones and derives covers from
+per-pair subset tests plus transitive reduction; it is kept as the
+independent reference. Their outputs are canonically ordered and must
+compare equal byte for byte; the test suite enforces that, plus agreement
+with an independent powerset enumeration of the concepts.
 """
 
 from __future__ import annotations
@@ -19,8 +28,7 @@ import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import combinations
-
-import numpy as np
+from typing import Iterable, Sequence
 
 from .core import (
     BitVec,
@@ -144,17 +152,6 @@ class ConceptLattice:
                 down[j] |= 1 << i
         return tuple(down)
 
-    @cached_property
-    def _extent_to_node(self) -> dict[int, int]:
-        return {c.extent.bits: i for i, c in enumerate(self.nodes)}
-
-    def node_of_extent(self, extent: VertexSet) -> int | None:
-        return self._extent_to_node.get(extent.bits)
-
-    def anchored_edges(self, node: int) -> EdgeSet:
-        """Edges introduced at ``node`` (empty for pure intersections)."""
-        return self.introduced[node]
-
     def is_anchor(self, node: int) -> bool:
         return self.introduced[node].bits != 0
 
@@ -195,7 +192,7 @@ def _prepare(h: Hypergraph) -> tuple[Hypergraph, dict[int, int], Hypergraph]:
     return reduced, mapping, h
 
 
-def _canonical_order(extents: set[int]) -> list[int]:
+def _canonical_order(extents: Iterable[int]) -> list[int]:
     return sorted(extents, key=lambda e: (e.bit_count(), tuple(iter_bits(e))))
 
 
@@ -205,17 +202,13 @@ def _finalize(
     edge_map: dict[int, int],
     extents: list[int],
     up_masks: list[int],
-    intents: list[int] | None = None,
 ) -> ConceptLattice:
-    """Assemble the lattice object from canonically sorted extents and the
-    strict-superset masks; everything else is derived here."""
+    """Assemble the naive builder's lattice object from canonically sorted
+    extents and the strict-superset masks; everything else is derived here."""
     n_nodes = len(extents)
     nv, ne = reduced.n_vertices, reduced.n_edges
 
-    if intents is None:
-        intents = [
-            intent_prime(reduced, BitVec(nv, e)).bits for e in extents
-        ]
+    intents = [intent_prime(reduced, BitVec(nv, e)).bits for e in extents]
 
     nodes = tuple(
         Concept(BitVec(nv, e), BitVec(ne, b)) for e, b in zip(extents, intents)
@@ -301,109 +294,148 @@ def build_lattice_naive(h: Hypergraph) -> ConceptLattice:
     return _finalize(reduced, source, mapping, ordered, up_masks)
 
 
-def _pack_words(values: list[int], n_bits: int) -> np.ndarray:
-    """Rows of 64-bit words, little-endian, one row per value."""
-    n_words = (n_bits + 63) // 64
-    out = np.empty((len(values), n_words), dtype=np.uint64)
-    nbytes = n_words * 8
-    for i, v in enumerate(values):
-        out[i] = np.frombuffer(v.to_bytes(nbytes, "little"), dtype=np.uint64)
-    return out
+class ExtentFamilyError(ValueError):
+    """A set of extents is not the extent family of the hypergraph's edge
+    columns."""
 
 
-def _unpack_words(row: np.ndarray) -> int:
-    return int.from_bytes(row.tobytes(), "little")
+Neighbours = tuple[int, int, list[int]]
 
 
-def _subset_matrix(rows: np.ndarray, cols: np.ndarray, block: int = 128) -> np.ndarray:
-    """Boolean matrix S with S[i, j] = rows[i] is a subset of cols[j]."""
-    n, m = rows.shape[0], cols.shape[0]
-    out = np.empty((n, m), dtype=bool)
-    if rows.shape[1] == 0:
-        out[:] = True
-        return out
-    for start in range(0, m, block):
-        chunk = cols[start : start + block]
-        # rows[i] & ~cols[j] must be all-zero words for containment
-        diff = rows[:, None, :] & ~chunk[None, :, :]
-        out[:, start : start + chunk.shape[0]] = ~diff.any(axis=2)
-    return out
+def concept_neighbours(extent: int, columns: Sequence[int], full: int) -> Neighbours:
+    """Intent, closure and lower covers of one extent, from one pass over
+    the edge columns.
+
+    The intent holds the columns that contain ``extent`` (as edge bits) and
+    the closure is their AND (``full`` when there are none). The lower
+    covers are the maximal sets among ``extent & c`` for the columns c that
+    do not contain ``extent``: a strictly smaller extent is an intersection
+    of columns, one of which misses a vertex of ``extent``, so it lies
+    below one of these candidates.
+    """
+    meets = [extent & col for col in columns]
+    intent = 0
+    closed = full
+    for j, meet in enumerate(meets):
+        if meet == extent:
+            intent |= 1 << j
+            closed &= columns[j]
+    candidates = set(meets)
+    candidates.discard(extent)
+    lower: list[int] = []
+    # A strict superset has more bits, so it is seen (or one above it kept)
+    # before the sets it contains.
+    for y in sorted(candidates, key=int.bit_count, reverse=True):
+        if all(y & z != y for z in lower):
+            lower.append(y)
+    return intent, closed, lower
+
+
+def lattice_from_neighbours(
+    reduced: Hypergraph,
+    neighbours: dict[int, Neighbours],
+    source: Hypergraph | None = None,
+    edge_map: dict[int, int] | None = None,
+    edge_aliases: dict[str, int] | None = None,
+) -> ConceptLattice:
+    """Lattice object of a deduplicated hypergraph from the
+    ``concept_neighbours`` of each extent in its extent family.
+
+    Nodes take the canonical order of the extents. The lower covers are
+    inverted into upper-cover masks and the strict-superset masks are OR-ed
+    up that order, which is topological, so no pairwise containment test is
+    made. The bottom is the AND of all columns, and each edge is introduced
+    at the node whose extent equals its column.
+
+    Raises ExtentFamilyError when the extents are not that family: an
+    extent that is not the AND of its intent's columns, or a lower cover,
+    the top, the bottom or a column that is not one of the extents. These
+    checks pin the family down: every extent is a column intersection or
+    the top, and an intersection of an extent with a column that is
+    missing would be, or lie below, some extent's missing lower cover.
+    """
+    nv, ne = reduced.n_vertices, reduced.n_edges
+    columns = reduced.chi.columns
+    full = (1 << nv) - 1
+    extents = _canonical_order(neighbours)
+    n_nodes = len(extents)
+    index = {e: i for i, e in enumerate(extents)}
+
+    def node_of(extent: int, what: str) -> int:
+        try:
+            return index[extent]
+        except KeyError:
+            raise ExtentFamilyError(f"{what} is not a node extent") from None
+
+    intents = []
+    cover_masks = [0] * n_nodes
+    for i, x in enumerate(extents):
+        intent, closed, lower = neighbours[x]
+        if closed != x:
+            raise ExtentFamilyError(
+                f"extent {i} is not the AND of its intent's columns"
+            )
+        for y in lower:
+            cover_masks[node_of(y, f"a lower cover of extent {i}")] |= 1 << i
+        intents.append(intent)
+
+    # Upper covers sort after the node, so walking down from the top sees
+    # every upper cover's mask complete.
+    up_masks = [0] * n_nodes
+    for i in range(n_nodes - 1, -1, -1):
+        acc = 0
+        for k in iter_bits(cover_masks[i]):
+            acc |= up_masks[k] | (1 << k)
+        up_masks[i] = acc
+
+    meet = full
+    for col in columns:
+        meet &= col
+    edge_anchors = tuple(node_of(col, "an edge column") for col in columns)
+    introduced = [0] * n_nodes
+    for j, node in enumerate(edge_anchors):
+        introduced[node] |= 1 << j
+
+    return ConceptLattice(
+        hypergraph=reduced,
+        nodes=tuple(
+            Concept(BitVec(nv, e), BitVec(ne, b))
+            for e, b in zip(extents, intents)
+        ),
+        up_masks=tuple(up_masks),
+        cover_masks=tuple(cover_masks),
+        top_index=node_of(full, "the full vertex set"),
+        bottom_index=node_of(meet, "the AND of all edge columns"),
+        edge_anchors=edge_anchors,
+        introduced=tuple(BitVec(ne, b) for b in introduced),
+        source=source,
+        edge_map=edge_map,
+        edge_aliases=edge_aliases,
+    )
 
 
 def build_lattice_vectorized(h: Hypergraph) -> ConceptLattice:
-    """Batched matrix builder; output is identical to the naive builder.
+    """Column-closure builder; output is identical to the naive builder.
 
-    Each round conjoins the whole (packed) incidence matrix against the
-    block of extents discovered in the previous round, keeps only columns
-    not seen before, and stops when a round adds none. The containment
-    relation is then computed by blocked whole-matrix word comparisons
-    instead of per-pair loops.
+    Starts from the full vertex set as top and closes each extent it finds
+    against the edge columns only (``concept_neighbours``), going on to the
+    lower covers that pass finds. Every extent lies on a chain of lower
+    covers down from the top, so this reaches the whole family and
+    intersects each extent with each column exactly once. The order,
+    covers and labels then come from ``lattice_from_neighbours``. The name
+    is kept for ``--algorithm vectorized`` and the ``bench`` output.
     """
     reduced, mapping, source = _prepare(h)
-    nv, ne = reduced.n_vertices, reduced.n_edges
-    full = (1 << nv) - 1
-
-    if ne == 0 or nv == 0:
-        # Degenerate shapes skip the matrix machinery: the extent family
-        # collapses to {V} (plus nothing else when every column is empty).
-        extents = set(reduced.chi.columns)
-        extents.add(full)
-        ordered = _canonical_order(extents)
-        up_masks = [0] * len(ordered)
-        for i, ei in enumerate(ordered):
-            up_masks[i] = sum(
-                1 << j
-                for j, ej in enumerate(ordered)
-                if i != j and ei & ej == ei
-            )
-        return _finalize(reduced, source, mapping, ordered, up_masks)
-
-    matrix = _pack_words(list(reduced.chi.columns), nv)  # (|E|, words)
-    known: dict[bytes, int] = {}
-    extent_ints: list[int] = []
-    for row in matrix:
-        key = row.tobytes()
-        if key not in known:
-            known[key] = len(extent_ints)
-            extent_ints.append(_unpack_words(row))
-
-    new_rows = np.unique(matrix, axis=0)
-    while new_rows.shape[0]:
-        added = []
-        for start in range(0, new_rows.shape[0], 512):
-            chunk = new_rows[start : start + 512]
-            cand = (matrix[:, None, :] & chunk[None, :, :]).reshape(
-                -1, matrix.shape[1]
-            )
-            for row in np.unique(cand, axis=0):
-                key = row.tobytes()
-                if key not in known:
-                    known[key] = len(extent_ints)
-                    extent_ints.append(_unpack_words(row))
-                    added.append(row)
-        new_rows = np.array(added, dtype=np.uint64) if added else np.empty(
-            (0, matrix.shape[1]), dtype=np.uint64
-        )
-
-    extents = set(extent_ints)
-    extents.add(full)
-    ordered = _canonical_order(extents)
-
-    words = _pack_words(ordered, nv)
-    sub = _subset_matrix(words, words)  # sub[i, j] = extent_i <= extent_j
-    np.fill_diagonal(sub, False)
-    up_masks = [
-        int.from_bytes(np.packbits(sub[i], bitorder="little").tobytes(), "little")
-        for i in range(len(ordered))
-    ]
-
-    # Intents the same way: containment of each extent in each edge column.
-    in_cols = _subset_matrix(words, matrix)
-    intents = [
-        int.from_bytes(np.packbits(in_cols[i], bitorder="little").tobytes(), "little")
-        for i in range(len(ordered))
-    ]
-    return _finalize(reduced, source, mapping, ordered, up_masks, intents)
+    columns = reduced.chi.columns
+    full = (1 << reduced.n_vertices) - 1
+    found = {full: concept_neighbours(full, columns, full)}
+    stack = [full]
+    while stack:
+        for y in found[stack.pop()][2]:
+            if y not in found:
+                found[y] = concept_neighbours(y, columns, full)
+                stack.append(y)
+    return lattice_from_neighbours(reduced, found, source=source, edge_map=mapping)
 
 
 def enumerate_concepts_oracle(h: Hypergraph) -> frozenset[Concept]:

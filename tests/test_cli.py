@@ -179,6 +179,18 @@ class TestStats:
             "max_to_bottom,0,1", "max_to_bottom,1,1", "max_to_bottom,2,1",
         ]
 
+    def test_document_without_hypergraph_exit_1(self, capsys, groups_csv, tmp_path):
+        doc_path = tmp_path / "lat.json"
+        code, _, _ = run(capsys, "build", groups_csv, "-o", str(doc_path))
+        assert code == 0
+        doc = json.loads(doc_path.read_text())
+        del doc["hypergraph"]
+        doc_path.write_text(json.dumps(doc))
+        code, out, err = run(capsys, "stats", str(doc_path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ") and "'hypergraph'" in err
+
     @pytest.mark.filterwarnings("ignore:hypergraph has duplicate")
     def test_deterministic_on_generated_input(self, capsys, tmp_path):
         gen_path = tmp_path / "cl.edges"

@@ -3,7 +3,12 @@ import warnings
 
 import pytest
 
-from conftest import SEVEN_GROUPS_CONCEPTS, SEVEN_GROUPS_CSV, random_dedup_hypergraph
+from conftest import (
+    SEVEN_GROUPS_CONCEPTS,
+    SEVEN_GROUPS_CSV,
+    SEVEN_GROUPS_EDGE_MEMBERS,
+    random_dedup_hypergraph,
+)
 from hglattice import (
     ParseError,
     build_lattice_naive,
@@ -26,6 +31,111 @@ SEVEN_GROUPS_EDGE_LINES = """\
 6: f, g
 7: g
 """
+
+
+def _at(doc, path):
+    for key in path:
+        doc = doc[key]
+    return doc
+
+
+def _drop(*path):
+    def mutate(doc):
+        del _at(doc, path[:-1])[path[-1]]
+
+    return mutate
+
+
+def _put(value, *path):
+    def mutate(doc):
+        _at(doc, path[:-1])[path[-1]] = value
+
+    return mutate
+
+
+# Each mutation of the seven-groups document leaves one field missing or
+# ill-typed; node 1 is {a}, the bottom is node 0 and the top node 12.
+TAMPERS = [
+    pytest.param(_drop("hypergraph"), id="no-hypergraph"),
+    pytest.param(_put(["a"], "hypergraph"), id="hypergraph-array"),
+    pytest.param(_drop("hypergraph", "vertices"), id="no-vertices"),
+    pytest.param(_put("abcdefg", "hypergraph", "vertices"), id="vertices-string"),
+    pytest.param(_put(7, "hypergraph", "vertices", 0), id="vertex-name-int"),
+    pytest.param(_drop("hypergraph", "edges"), id="no-edges"),
+    pytest.param(_put(None, "hypergraph", "edges", 6), id="edge-name-null"),
+    pytest.param(_drop("hypergraph", "n_vertices"), id="no-n-vertices"),
+    pytest.param(_put([], "hypergraph", "duplicate_edges"), id="duplicates-array"),
+    pytest.param(_put({"x": 1}, "hypergraph", "duplicate_edges"), id="duplicate-int"),
+    pytest.param(_put({"x": ["1"]}, "hypergraph", "duplicate_edges"),
+                 id="duplicate-array"),
+    pytest.param(_put({"2": "1"}, "hypergraph", "duplicate_edges"),
+                 id="duplicate-shadows-edge"),
+    pytest.param(_drop("nodes"), id="no-nodes"),
+    pytest.param(_put({}, "nodes"), id="nodes-object"),
+    pytest.param(_put("node", "nodes", 1), id="node-string"),
+    pytest.param(_drop("nodes", 1, "id"), id="no-node-id"),
+    pytest.param(_drop("nodes", 1, "extent"), id="no-extent"),
+    pytest.param(_put("a", "nodes", 1, "extent"), id="extent-string"),
+    pytest.param(_put([5], "nodes", 1, "extent"), id="extent-name-int"),
+    pytest.param(_put([["a"]], "nodes", 1, "extent"), id="extent-name-array"),
+    pytest.param(_put(["a", "a"], "nodes", 1, "extent"), id="extent-repeats"),
+    pytest.param(_drop("nodes", 1, "intent"), id="no-intent"),
+    pytest.param(_put(3, "nodes", 1, "intent"), id="intent-int"),
+    pytest.param(_put([2, 3, 4], "nodes", 1, "intent"), id="intent-names-int"),
+    pytest.param(_drop("nodes", 1, "introduces"), id="no-introduces"),
+    pytest.param(_put(None, "nodes", 1, "introduces"), id="introduces-null"),
+    pytest.param(_put([{}], "nodes", 1, "introduces"), id="introduces-object"),
+    pytest.param(_drop("covers"), id="no-covers"),
+    pytest.param(_put("0 1", "covers"), id="covers-string"),
+    pytest.param(_put([[0]], "covers"), id="cover-short"),
+    pytest.param(_drop("top"), id="no-top"),
+    pytest.param(_put("12", "top"), id="top-string"),
+    pytest.param(_drop("bottom"), id="no-bottom"),
+    pytest.param(_put(False, "bottom"), id="bottom-bool"),
+    pytest.param(_put(0.0, "bottom"), id="bottom-float"),
+]
+
+
+def node_extents(text):
+    return [set(rec["extent"]) for rec in json.loads(text)["nodes"]]
+
+
+def canonical_key(extent):
+    return (len(extent), sorted(extent))
+
+
+def over_extents(text, extents):
+    """The seven-groups document ``text`` with its nodes replaced by
+    ``extents`` (vertex-name sets, in the order given), and intents,
+    introduced edges, covers, top and bottom recomputed to agree with them
+    by brute force."""
+    doc = json.loads(text)
+    columns = SEVEN_GROUPS_EDGE_MEMBERS
+    n = len(extents)
+
+    def below(i, j):
+        return extents[i] < extents[j]
+
+    doc["nodes"] = [
+        {
+            "id": i,
+            "extent": sorted(e),
+            "intent": sorted(name for name, col in columns.items() if e <= col),
+            "introduces": sorted(
+                name for name, col in columns.items() if e == col
+            ),
+        }
+        for i, e in enumerate(extents)
+    ]
+    doc["covers"] = sorted(
+        [i, j]
+        for i in range(n)
+        for j in range(n)
+        if below(i, j) and not any(below(i, k) and below(k, j) for k in range(n))
+    )
+    doc["top"] = next(i for i, e in enumerate(extents) if len(e) == 7)
+    doc["bottom"] = next(i for i, e in enumerate(extents) if not e)
+    return json.dumps(doc)
 
 
 def concept_names(lat):
@@ -149,6 +259,44 @@ class TestLatticeDocument:
         doc = json.loads(serialize_lattice(seven_groups_lattice))
         doc["covers"] = doc["covers"][:-1]
         with pytest.raises(ParseError, match="covers"):
+            parse_lattice_document(json.dumps(doc))
+
+    def test_recomputed_document_loads(self, seven_groups_lattice):
+        text = serialize_lattice(seven_groups_lattice)
+        again = parse_lattice_document(over_extents(text, node_extents(text)))
+        assert again == seven_groups_lattice
+
+    def test_missing_intersection_node_rejected(self, seven_groups_lattice):
+        # {a} = {a,d} & {a,b} introduces no edge. Without it the other twelve
+        # extents still form a consistent order, but {a,d} no longer meets
+        # the column of edge 4 in a node.
+        text = serialize_lattice(seven_groups_lattice)
+        extents = [e for e in node_extents(text) if e != {"a"}]
+        assert len(extents) == 12
+        with pytest.raises(ParseError, match="not a node"):
+            parse_lattice_document(over_extents(text, extents))
+
+    def test_extra_node_rejected(self, seven_groups_lattice):
+        # {c} is no intersection of columns: edges 1 and 2 contain it, and
+        # their columns meet in {b,c}.
+        text = serialize_lattice(seven_groups_lattice)
+        extents = sorted(node_extents(text) + [{"c"}], key=canonical_key)
+        with pytest.raises(ParseError, match="AND of its intent"):
+            parse_lattice_document(over_extents(text, extents))
+
+    def test_non_canonical_node_order_rejected(self, seven_groups_lattice):
+        text = serialize_lattice(seven_groups_lattice)
+        extents = node_extents(text)
+        assert extents[1:3] == [{"a"}, {"b"}]
+        extents[1:3] = [{"b"}, {"a"}]
+        with pytest.raises(ParseError, match="canonical order"):
+            parse_lattice_document(over_extents(text, extents))
+
+    @pytest.mark.parametrize("mutate", TAMPERS)
+    def test_malformed_field_rejected(self, seven_groups_lattice, mutate):
+        doc = json.loads(serialize_lattice(seven_groups_lattice))
+        mutate(doc)
+        with pytest.raises(ParseError):
             parse_lattice_document(json.dumps(doc))
 
     def test_tampered_intent_rejected(self, seven_groups_lattice):

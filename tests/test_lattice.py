@@ -8,11 +8,13 @@ from hglattice import (
     SizeLimitError,
     build_lattice_naive,
     build_lattice_vectorized,
+    chung_lu_hypergraph,
     edge_anchor,
     enumerate_concepts_oracle,
     from_edge_list,
     galois_labels,
     serialize_lattice,
+    uniform_hypergraph,
     verify_isomorphism,
 )
 from hglattice.core import iter_bits
@@ -96,12 +98,22 @@ class TestVectorizedBuilder:
                 warnings.simplefilter("ignore")
                 assert build_lattice_vectorized(h) == build_lattice_naive(h)
 
+    @pytest.mark.filterwarnings("ignore:hypergraph has duplicate")
     def test_random_differential(self):
-        for seed in range(60):
-            h = random_dedup_hypergraph(seed)
+        cases = [
+            (f"seed {seed}", random_dedup_hypergraph(seed)) for seed in range(60)
+        ]
+        # Larger inputs give nodes with dozens of lower-cover candidates,
+        # which the 8x8 instances above never do; the Chung-Lu one keeps
+        # its duplicate columns.
+        cases.append(
+            ("chung-lu 120x80", chung_lu_hypergraph(120, 80, exponent=2.5, seed=9))
+        )
+        cases.append(("uniform 30x20", uniform_hypergraph(30, 20, seed=0)))
+        for name, h in cases:
             naive = build_lattice_naive(h)
             vect = build_lattice_vectorized(h)
-            assert naive == vect, f"builders disagree on seed {seed}"
+            assert naive == vect, f"builders disagree on {name}"
             assert serialize_lattice(naive) == serialize_lattice(vect)
 
 
