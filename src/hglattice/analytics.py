@@ -20,7 +20,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .core import iter_bits
-from .lattice import ConceptLattice
+from .lattice import ConceptLattice, edge_anchor
 
 
 class NoSPathError(Exception):
@@ -173,7 +173,7 @@ def shortest_s_path(
     view = prune(lat, s)
     endpoints = {}
     for role, name in (("source", source), ("target", target)):
-        anchor = lat.edge_anchors[lat.resolve_edge(name)]
+        anchor = edge_anchor(lat, name)
         if anchor not in view.retained:
             raise NoSPathError(
                 f"no {s}-path: {role} edge {name!r} has fewer than {s} "

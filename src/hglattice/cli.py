@@ -28,13 +28,6 @@ class CommandError(Exception):
         self.code = code
 
 
-def _read_text(path: str) -> str:
-    try:
-        return Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
-        raise CommandError(f"cannot read {path}: {exc}", EXIT_PARSE)
-
-
 def _sniff_format(path: str, text: str) -> str:
     suffix = Path(path).suffix.lower()
     if suffix == ".json":
@@ -46,39 +39,38 @@ def _sniff_format(path: str, text: str) -> str:
     return "lattice" if text.lstrip().startswith("{") else "edges"
 
 
+def _read_input(path: str, fmt: str) -> tuple[str, str]:
+    """The input's format, sniffed when ``fmt`` is ``auto``, and its text."""
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise CommandError(f"cannot read {path}: {exc}", EXIT_PARSE)
+    return (_sniff_format(path, text) if fmt == "auto" else fmt), text
+
+
+def _parse(path: str, fmt: str, text: str):
+    """A lattice document, incidence CSV or (any other format) edge list."""
+    parser = {
+        "lattice": formats.parse_lattice_document,
+        "csv": formats.parse_incidence_csv,
+    }.get(fmt, formats.parse_edge_list)
+    try:
+        return parser(text)
+    except formats.ParseError as exc:
+        raise CommandError(f"{path}: {exc}", EXIT_PARSE)
+
+
 def _load_hypergraph(path: str, fmt: str):
-    text = _read_text(path)
-    if fmt == "auto":
-        fmt = _sniff_format(path, text)
-        if fmt == "lattice":
-            fmt = "edges"
-    try:
-        if fmt == "csv":
-            return formats.parse_incidence_csv(text)
-        return formats.parse_edge_list(text)
-    except formats.ParseError as exc:
-        raise CommandError(f"{path}: {exc}", EXIT_PARSE)
+    fmt, text = _read_input(path, fmt)
+    # build takes no lattice document: an input sniffed as one is read as
+    # an edge list.
+    return _parse(path, "edges" if fmt == "lattice" else fmt, text)
 
 
-def _load_lattice(path: str, fmt: str, algorithm: str = "vectorized"):
-    text = _read_text(path)
-    if fmt == "auto":
-        fmt = _sniff_format(path, text)
-    try:
-        if fmt == "lattice":
-            return formats.parse_lattice_document(text)
-        if fmt == "csv":
-            h = formats.parse_incidence_csv(text)
-        else:
-            h = formats.parse_edge_list(text)
-    except formats.ParseError as exc:
-        raise CommandError(f"{path}: {exc}", EXIT_PARSE)
-    builder = (
-        lattice.build_lattice_naive
-        if algorithm == "naive"
-        else lattice.build_lattice_vectorized
-    )
-    return builder(h)
+def _load_lattice(path: str, fmt: str):
+    fmt, text = _read_input(path, fmt)
+    parsed = _parse(path, fmt, text)
+    return parsed if fmt == "lattice" else lattice.build_lattice_vectorized(parsed)
 
 
 def _emit(text: str, output: str | None):
@@ -205,10 +197,10 @@ def _cmd_bench(args) -> int:
             t1 = time.perf_counter()
             vect = lattice.build_lattice_vectorized(h)
             t2 = time.perf_counter()
-            if len(naive) != len(vect):
+            if naive != vect:
                 raise CommandError(
-                    f"builder disagreement at |E|={n_edges}: "
-                    f"{len(naive)} vs {len(vect)} nodes",
+                    f"builder disagreement at |E|={n_edges}: the lattices "
+                    f"differ ({len(naive)} vs {len(vect)} nodes)",
                     EXIT_VERIFY,
                 )
             rows.append(

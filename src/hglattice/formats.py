@@ -58,9 +58,26 @@ def parse_edge_list(text: str) -> Hypergraph:
         raise ParseError(str(exc)) from exc
 
 
+def _require_writable(kind: str, name: str, forbidden: str):
+    if name.splitlines() != [name] or name != name.strip() or any(
+        ch in name for ch in forbidden
+    ):
+        raise ValueError(f"{kind} name {name!r} cannot be written to an edge list")
+
+
 def format_edge_list(h: Hypergraph) -> str:
+    """Edge-list text that ``parse_edge_list`` reads back as the same edges.
+
+    Raises ValueError naming the first name the format cannot hold: an
+    empty name, one with leading or trailing whitespace or a line break,
+    one containing ``#`` or ``,``, and an edge name containing ``:``.
+    Vertices in no edge are not written.
+    """
+    for name in h.vertex_names:
+        _require_writable("vertex", name, "#,")
     lines = []
     for j, name in enumerate(h.edge_names):
+        _require_writable("edge", name, "#,:")
         members = h.vertex_names_of(h.edge_column(j))
         lines.append(f"{name}: {', '.join(members)}".rstrip())
     return "\n".join(lines) + ("\n" if lines else "")

@@ -67,43 +67,34 @@ class ConceptLattice:
     """Canonically ordered concept lattice of a deduplicated hypergraph.
 
     Nodes are sorted by (extent cardinality, extent index tuple), which is
-    a topological order of the cover DAG from bottom to top. ``up_masks``
-    and ``cover_masks`` hold, per node, the strict-superset and upper-cover
-    node sets as bitmasks over node indices. ``edge_anchors[j]`` is the
-    node whose extent equals column j; ``introduced[n]`` the edges whose
-    anchor is n. Instances are immutable after construction.
+    a topological order of the cover DAG from bottom to top. The covers are
+    the only stored order: ``cover_masks`` holds, per node, its upper
+    covers as a bitmask over node indices, and the full containment order
+    is derived from them on demand. ``edge_anchors[j]`` is the node whose
+    extent equals column j, and ``edge_aliases`` maps every edge name of
+    the source hypergraph, duplicates included, to its deduplicated edge
+    index (the identity on the edge names by default). Instances are
+    immutable after construction.
     """
 
     def __init__(
         self,
         hypergraph: Hypergraph,
         nodes: tuple[Concept, ...],
-        up_masks: tuple[int, ...],
         cover_masks: tuple[int, ...],
         top_index: int,
         bottom_index: int,
         edge_anchors: tuple[int, ...],
-        introduced: tuple[EdgeSet, ...],
-        source: Hypergraph | None = None,
-        edge_map: dict[int, int] | None = None,
         edge_aliases: dict[str, int] | None = None,
     ):
         self.hypergraph = hypergraph
         self.nodes = nodes
-        self.up_masks = up_masks
         self.cover_masks = cover_masks
         self.top_index = top_index
         self.bottom_index = bottom_index
         self.edge_anchors = edge_anchors
-        self.introduced = introduced
-        self.source = hypergraph if source is None else source
-        if edge_map is None:
-            edge_map = {j: j for j in range(hypergraph.n_edges)}
-        self.edge_map = edge_map
         if edge_aliases is None:
-            edge_aliases = {
-                name: edge_map[j] for j, name in enumerate(self.source.edge_names)
-            }
+            edge_aliases = dict(hypergraph.edge_index)
         self.edge_aliases = edge_aliases
 
     def __len__(self) -> int:
@@ -115,12 +106,10 @@ class ConceptLattice:
         return (
             self.hypergraph == other.hypergraph
             and self.nodes == other.nodes
-            and self.up_masks == other.up_masks
             and self.cover_masks == other.cover_masks
             and self.top_index == other.top_index
             and self.bottom_index == other.bottom_index
             and self.edge_anchors == other.edge_anchors
-            and self.introduced == other.introduced
             and self.edge_aliases == other.edge_aliases
         )
 
@@ -130,10 +119,19 @@ class ConceptLattice:
     def order(self) -> frozenset[tuple[int, int]]:
         """Full containment order as (lower, upper) pairs, reflexive pairs
         included: (i, j) is present exactly when extent_i is a subset of
-        extent_j."""
-        pairs = {(i, i) for i in range(len(self.nodes))}
-        for i, mask in enumerate(self.up_masks):
-            pairs.update((i, j) for j in iter_bits(mask))
+        extent_j.
+
+        Upper covers sort after the node, so walking down from the top
+        sees every upper cover's set of supersets complete.
+        """
+        up = [0] * len(self.nodes)
+        pairs = set()
+        for i in range(len(self.nodes) - 1, -1, -1):
+            acc = 1 << i
+            for k in iter_bits(self.cover_masks[i]):
+                acc |= up[k]
+            up[i] = acc
+            pairs.update((i, j) for j in iter_bits(acc))
         return frozenset(pairs)
 
     @cached_property
@@ -151,6 +149,14 @@ class ConceptLattice:
             for j in iter_bits(mask):
                 down[j] |= 1 << i
         return tuple(down)
+
+    @cached_property
+    def introduced(self) -> tuple[EdgeSet, ...]:
+        """Per node, the edges whose anchor it is."""
+        bits = [0] * len(self.nodes)
+        for j, node in enumerate(self.edge_anchors):
+            bits[node] |= 1 << j
+        return tuple(BitVec(self.hypergraph.n_edges, b) for b in bits)
 
     def is_anchor(self, node: int) -> bool:
         return self.introduced[node].bits != 0
@@ -170,18 +176,16 @@ class ConceptLattice:
             raise KeyError(f"unknown edge name {name!r}") from None
 
 
-def edge_anchor(lat: ConceptLattice, edge: int) -> int:
-    """Node whose extent equals the given source edge's column.
+def edge_anchor(lat: ConceptLattice, name: str) -> int:
+    """Node whose extent equals the named edge's column.
 
-    ``edge`` indexes the source hypergraph handed to the builder; it is
-    routed through the dedup map before the anchor lookup.
+    Duplicate edges of the source hypergraph resolve to their
+    representative's anchor; an unknown name raises KeyError.
     """
-    if not 0 <= edge < lat.source.n_edges:
-        raise IndexError(f"edge index {edge} out of range")
-    return lat.edge_anchors[lat.edge_map[edge]]
+    return lat.edge_anchors[lat.resolve_edge(name)]
 
 
-def _prepare(h: Hypergraph) -> tuple[Hypergraph, dict[int, int], Hypergraph]:
+def _prepare(h: Hypergraph) -> tuple[Hypergraph, dict[str, int]]:
     reduced, mapping = dedup_edges(h)
     if reduced is not h:
         warnings.warn(
@@ -189,7 +193,7 @@ def _prepare(h: Hypergraph) -> tuple[Hypergraph, dict[int, int], Hypergraph]:
             "lattice construction",
             stacklevel=3,
         )
-    return reduced, mapping, h
+    return reduced, {name: mapping[j] for j, name in enumerate(h.edge_names)}
 
 
 def _canonical_order(extents: Iterable[int]) -> list[int]:
@@ -198,8 +202,7 @@ def _canonical_order(extents: Iterable[int]) -> list[int]:
 
 def _finalize(
     reduced: Hypergraph,
-    source: Hypergraph,
-    edge_map: dict[int, int],
+    edge_aliases: dict[str, int],
     extents: list[int],
     up_masks: list[int],
 ) -> ConceptLattice:
@@ -234,25 +237,14 @@ def _finalize(
     node_by_extent = {e: i for i, e in enumerate(extents)}
     edge_anchors = tuple(node_by_extent[col] for col in reduced.chi.columns)
 
-    introduced_bits = []
-    for i in range(n_nodes):
-        upper_union = 0
-        for k in iter_bits(cover_masks[i]):
-            upper_union |= intents[k]
-        introduced_bits.append(intents[i] & ~upper_union)
-    introduced = tuple(BitVec(ne, b) for b in introduced_bits)
-
     return ConceptLattice(
         hypergraph=reduced,
         nodes=nodes,
-        up_masks=tuple(up_masks),
         cover_masks=tuple(cover_masks),
         top_index=top_index,
         bottom_index=bottom_index,
         edge_anchors=edge_anchors,
-        introduced=introduced,
-        source=source,
-        edge_map=edge_map,
+        edge_aliases=edge_aliases,
     )
 
 
@@ -264,7 +256,7 @@ def build_lattice_naive(h: Hypergraph) -> ConceptLattice:
     the full vertex set as top. Containment is decided by per-pair subset
     tests on the backing ints.
     """
-    reduced, mapping, source = _prepare(h)
+    reduced, edge_aliases = _prepare(h)
 
     extents: set[int] = set(reduced.chi.columns)
     frontier = list(extents)
@@ -291,7 +283,7 @@ def build_lattice_naive(h: Hypergraph) -> ConceptLattice:
             if i != j and ei & ej == ei:
                 acc |= 1 << j
         up_masks[i] = acc
-    return _finalize(reduced, source, mapping, ordered, up_masks)
+    return _finalize(reduced, edge_aliases, ordered, up_masks)
 
 
 class ExtentFamilyError(ValueError):
@@ -334,17 +326,14 @@ def concept_neighbours(extent: int, columns: Sequence[int], full: int) -> Neighb
 def lattice_from_neighbours(
     reduced: Hypergraph,
     neighbours: dict[int, Neighbours],
-    source: Hypergraph | None = None,
-    edge_map: dict[int, int] | None = None,
     edge_aliases: dict[str, int] | None = None,
 ) -> ConceptLattice:
     """Lattice object of a deduplicated hypergraph from the
     ``concept_neighbours`` of each extent in its extent family.
 
-    Nodes take the canonical order of the extents. The lower covers are
-    inverted into upper-cover masks and the strict-superset masks are OR-ed
-    up that order, which is topological, so no pairwise containment test is
-    made. The bottom is the AND of all columns, and each edge is introduced
+    Nodes take the canonical order of the extents and the lower covers are
+    inverted into upper-cover masks, so no pairwise containment test is
+    made. The bottom is the AND of all columns, and each edge is anchored
     at the node whose extent equals its column.
 
     Raises ExtentFamilyError when the extents are not that family: an
@@ -379,22 +368,10 @@ def lattice_from_neighbours(
             cover_masks[node_of(y, f"a lower cover of extent {i}")] |= 1 << i
         intents.append(intent)
 
-    # Upper covers sort after the node, so walking down from the top sees
-    # every upper cover's mask complete.
-    up_masks = [0] * n_nodes
-    for i in range(n_nodes - 1, -1, -1):
-        acc = 0
-        for k in iter_bits(cover_masks[i]):
-            acc |= up_masks[k] | (1 << k)
-        up_masks[i] = acc
-
     meet = full
     for col in columns:
         meet &= col
     edge_anchors = tuple(node_of(col, "an edge column") for col in columns)
-    introduced = [0] * n_nodes
-    for j, node in enumerate(edge_anchors):
-        introduced[node] |= 1 << j
 
     return ConceptLattice(
         hypergraph=reduced,
@@ -402,14 +379,10 @@ def lattice_from_neighbours(
             Concept(BitVec(nv, e), BitVec(ne, b))
             for e, b in zip(extents, intents)
         ),
-        up_masks=tuple(up_masks),
         cover_masks=tuple(cover_masks),
         top_index=node_of(full, "the full vertex set"),
         bottom_index=node_of(meet, "the AND of all edge columns"),
         edge_anchors=edge_anchors,
-        introduced=tuple(BitVec(ne, b) for b in introduced),
-        source=source,
-        edge_map=edge_map,
         edge_aliases=edge_aliases,
     )
 
@@ -421,11 +394,11 @@ def build_lattice_vectorized(h: Hypergraph) -> ConceptLattice:
     against the edge columns only (``concept_neighbours``), going on to the
     lower covers that pass finds. Every extent lies on a chain of lower
     covers down from the top, so this reaches the whole family and
-    intersects each extent with each column exactly once. The order,
-    covers and labels then come from ``lattice_from_neighbours``. The name
+    intersects each extent with each column exactly once. The covers and
+    anchors then come from ``lattice_from_neighbours``. The name
     is kept for ``--algorithm vectorized`` and the ``bench`` output.
     """
-    reduced, mapping, source = _prepare(h)
+    reduced, edge_aliases = _prepare(h)
     columns = reduced.chi.columns
     full = (1 << reduced.n_vertices) - 1
     found = {full: concept_neighbours(full, columns, full)}
@@ -435,7 +408,7 @@ def build_lattice_vectorized(h: Hypergraph) -> ConceptLattice:
             if y not in found:
                 found[y] = concept_neighbours(y, columns, full)
                 stack.append(y)
-    return lattice_from_neighbours(reduced, found, source=source, edge_map=mapping)
+    return lattice_from_neighbours(reduced, found, edge_aliases)
 
 
 def enumerate_concepts_oracle(h: Hypergraph) -> frozenset[Concept]:
@@ -477,9 +450,10 @@ def verify_isomorphism(lat: ConceptLattice, concepts) -> IsomorphismResult:
     """Check that a lattice realizes a concept set, extent for extent.
 
     The lattice's extents must coincide with the concepts' extents, intents
-    must agree per extent, and the stored order must match recomputed
-    containment of the concept extents. ``concepts`` should come from the
-    same (deduplicated) hypergraph the lattice was built over.
+    must agree per extent, and the order derived from the stored covers
+    must match recomputed containment of the concept extents. ``concepts``
+    should come from the same (deduplicated) hypergraph the lattice was
+    built over.
     """
     concepts = list(concepts)
     by_extent = {}

@@ -4,7 +4,7 @@ import statistics
 import pytest
 
 from conftest import SEVEN_GROUPS_CSV
-from hglattice import parse_edge_list
+from hglattice import ConceptLattice, lattice, parse_edge_list
 from hglattice.cli import main
 
 
@@ -261,6 +261,26 @@ class TestBench:
         col1 = [l.split(",")[3] for l in out1.splitlines()[1:]]
         col2 = [l.split(",")[3] for l in out2.splitlines()[1:]]
         assert col1 == col2
+
+    def test_builder_disagreement_exit_2(self, capsys, monkeypatch):
+        # Same node count, one cover missing: only a whole-lattice
+        # comparison tells the builders apart.
+        real = lattice.build_lattice_vectorized
+
+        def one_cover_short(h):
+            lat = real(h)
+            masks = list(lat.cover_masks)
+            i = next(i for i, mask in enumerate(masks) if mask)
+            masks[i] &= masks[i] - 1
+            return ConceptLattice(
+                lat.hypergraph, lat.nodes, tuple(masks), lat.top_index,
+                lat.bottom_index, lat.edge_anchors, lat.edge_aliases,
+            )
+
+        monkeypatch.setattr(lattice, "build_lattice_vectorized", one_cover_short)
+        code, _, err = run(capsys, "bench", "--sizes", "10")
+        assert code == 2
+        assert "disagreement" in err
 
     def test_bad_sizes(self, capsys):
         code, _, err = run(capsys, "bench", "--sizes", "ten")

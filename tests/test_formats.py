@@ -2,6 +2,8 @@ import json
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import (
     SEVEN_GROUPS_CONCEPTS,
@@ -12,6 +14,7 @@ from conftest import (
 from hglattice import (
     ParseError,
     build_lattice_naive,
+    edge_anchor,
     format_edge_list,
     from_edge_list,
     lattice_to_dot,
@@ -94,6 +97,50 @@ TAMPERS = [
     pytest.param(_put(False, "bottom"), id="bottom-bool"),
     pytest.param(_put(0.0, "bottom"), id="bottom-float"),
 ]
+
+
+def _json_paths(value, prefix=()):
+    """Every path into a JSON value, the root's ``()`` included."""
+    yield prefix
+    if isinstance(value, dict):
+        for key, item in value.items():
+            yield from _json_paths(item, prefix + (key,))
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _json_paths(item, prefix + (i,))
+
+
+def _duplicate_edge_document():
+    """The seven-groups document with an edge 8 that repeats edge 7."""
+    edges = sorted(SEVEN_GROUPS_EDGE_MEMBERS.items()) + [("8", {"g"})]
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        lat = build_lattice_naive(
+            from_edge_list([(name, sorted(m)) for name, m in edges])
+        )
+    return serialize_lattice(lat)
+
+
+DUPLICATE_EDGE_DOCUMENT = _duplicate_edge_document()
+
+# Values a mutation writes: scalars of every JSON type, names the document
+# uses, and small arrays and objects of them.
+_DOCUMENT_NAMES = list("abcdefg") + list("12345678") + [
+    "format", "hypergraph", "vertices", "edges", "duplicate_edges",
+    "n_vertices", "n_edges", "nodes", "id", "extent", "intent",
+    "introduces", "covers", "top", "bottom",
+]
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-2, 14)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.sampled_from(_DOCUMENT_NAMES)
+    | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(_DOCUMENT_NAMES), inner, max_size=3),
+    max_leaves=6,
+)
 
 
 def node_extents(text):
@@ -189,6 +236,36 @@ class TestEdgeListParser:
                     h.vertex_names_of(h.edge_column(j))
                 )
 
+    def test_writer_refuses_unreadable_names(self):
+        # Each would be read back wrong: '#' starts a comment, ',' splits
+        # vertices and the first ':' ends the edge name.
+        cases = [
+            ("y#z", [("e1", ["y#z", "w"])]),
+            ("a,b", [("a,b", ["w"])]),
+            ("e:1", [("e:1", ["x"])]),
+        ]
+        for name, edges in cases:
+            with pytest.raises(ValueError, match=repr(name)):
+                format_edge_list(from_edge_list(edges))
+
+    @given(
+        edges=st.lists(
+            st.tuples(
+                st.text(max_size=4), st.lists(st.text(max_size=4), max_size=4)
+            ),
+            max_size=5,
+            unique_by=lambda edge: edge[0],
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_writer_round_trips_or_refuses(self, edges):
+        h = from_edge_list(edges)
+        try:
+            text = format_edge_list(h)
+        except ValueError:
+            return
+        assert parse_edge_list(text) == h
+
 
 class TestIncidenceCsvParser:
     def test_seven_groups(self, seven_groups):
@@ -254,6 +331,7 @@ class TestLatticeDocument:
         again = parse_lattice_document(serialize_lattice(lat))
         assert again == lat
         assert again.resolve_edge("q") == again.resolve_edge("p")
+        assert edge_anchor(again, "q") == edge_anchor(again, "p")
 
     def test_tampered_covers_rejected(self, seven_groups_lattice):
         doc = json.loads(serialize_lattice(seven_groups_lattice))
@@ -298,6 +376,25 @@ class TestLatticeDocument:
         mutate(doc)
         with pytest.raises(ParseError):
             parse_lattice_document(json.dumps(doc))
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_mutated_document_loads_equal_or_raises_parse_error(self, data):
+        doc = json.loads(DUPLICATE_EDGE_DOCUMENT)
+        for _ in range(data.draw(st.integers(1, 3), label="mutations")):
+            paths = list(_json_paths(doc))
+            path = data.draw(st.sampled_from(paths), label="path")
+            if path and data.draw(st.booleans(), label="delete"):
+                _drop(*path)(doc)
+            elif path:
+                _put(data.draw(JSON_VALUES, label="value"), *path)(doc)
+            else:
+                doc = data.draw(JSON_VALUES, label="document")
+        try:
+            lat = parse_lattice_document(json.dumps(doc))
+        except ParseError:
+            return
+        assert parse_lattice_document(serialize_lattice(lat)) == lat
 
     def test_tampered_intent_rejected(self, seven_groups_lattice):
         doc = json.loads(serialize_lattice(seven_groups_lattice))
