@@ -1,9 +1,13 @@
 """Path and connectivity queries answered on a prebuilt concept lattice.
 
-The lattice is built once; every query for a given overlap threshold s
-works on a cheap pruned view of it (nodes whose extent has at least s
-vertices, minus a top that is not itself a hyperedge). Queries are pure
-reads of the immutable lattice and safe to run concurrently.
+The lattice is built once, and so is its undirected cover adjacency
+(``ConceptLattice.cover_adjacency``). A query for overlap threshold s reads
+that one adjacency through a filter: it keeps the nodes whose extent has
+at least s vertices, minus a top that is not itself a hyperedge. Nothing
+is built per query or per s. A path query rejects a pruned endpoint before
+it touches the adjacency. The adjacency is built lazily on first use, and
+deterministically, so queries are pure reads of the lattice and safe to
+run concurrently.
 
 Edge-path extraction follows the pruned-lattice walk: anchor nodes
 contribute their hyperedge, pass-through intersections are skipped, and a
@@ -19,7 +23,6 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .core import iter_bits
 from .lattice import ConceptLattice, edge_anchor
 
 
@@ -69,49 +72,60 @@ class SPathResult:
     hypergraph_distance: int
 
 
+def _check_s(s: int) -> None:
+    if s < 1:
+        raise ValueError(f"s must be a positive integer, got {s}")
+
+
+def _hidden_top(lat: ConceptLattice) -> int:
+    """The top's index when pruning drops it (it is not a hyperedge),
+    else -1, which is no node."""
+    return -1 if lat.is_anchor(lat.top_index) else lat.top_index
+
+
 def prune(lat: ConceptLattice, s: int) -> PrunedLatticeView:
     """View of the lattice usable for s-overlap queries.
 
     Keeps nodes whose extent has at least s vertices; the top node is
     dropped when its extent is not itself a hyperedge. The adjacency is
     the cover relation restricted to retained nodes, read undirected.
+    Queries apply the same filter to ``lat.cover_adjacency`` directly and
+    do not call this.
     """
-    if s < 1:
-        raise ValueError(f"s must be a positive integer, got {s}")
-    retained = {
-        i for i, c in enumerate(lat.nodes) if c.extent.count >= s
+    _check_s(s)
+    offsets, neighbours = lat.cover_adjacency
+    hidden = _hidden_top(lat)
+    retained = frozenset(
+        i for i, size in enumerate(lat.extent_sizes) if size >= s and i != hidden
+    )
+    adjacency = {
+        i: tuple(m for m in neighbours[offsets[i]:offsets[i + 1]] if m in retained)
+        for i in sorted(retained)
     }
-    if lat.top_index in retained and not lat.is_anchor(lat.top_index):
-        retained.discard(lat.top_index)
-    neighbors: dict[int, set[int]] = {i: set() for i in retained}
-    for i in retained:
-        for j in iter_bits(lat.cover_masks[i]):
-            if j in retained:
-                neighbors[i].add(j)
-                neighbors[j].add(i)
-    adjacency = {i: tuple(sorted(ns)) for i, ns in neighbors.items()}
-    return PrunedLatticeView(lat, s, frozenset(retained), adjacency)
+    return PrunedLatticeView(lat, s, retained, adjacency)
 
 
-def _bfs_path(view: PrunedLatticeView, src: int, dst: int) -> list[int] | None:
-    """Shortest path by level BFS; each frontier is scanned in ascending
-    node order so parents (and hence the path) are deterministic."""
-    parent: dict[int, int | None] = {src: None}
+def _bfs_path(lat: ConceptLattice, s: int, src: int, dst: int) -> list[int] | None:
+    """Shortest path over the covers of nodes retained at s, by level BFS;
+    each frontier is scanned in ascending node order so parents (and hence
+    the path) are deterministic."""
+    offsets, neighbours = lat.cover_adjacency
+    sizes = lat.extent_sizes
+    hidden = _hidden_top(lat)
+    parent: dict[int, int] = {src: -1}
     level = [src]
-    while level:
+    while level and dst not in parent:
         nxt = []
         for n in level:
-            for m in view.adjacency[n]:
-                if m not in parent:
+            for m in neighbours[offsets[n]:offsets[n + 1]]:
+                if m not in parent and sizes[m] >= s and m != hidden:
                     parent[m] = n
                     nxt.append(m)
-        if dst in parent:
-            break
-        level = sorted(set(nxt))
+        level = sorted(nxt)
     if dst not in parent:
         return None
     path = [dst]
-    while parent[path[-1]] is not None:
+    while parent[path[-1]] != -1:
         path.append(parent[path[-1]])
     path.reverse()
     return path
@@ -128,14 +142,12 @@ def _witness_edge(lat: ConceptLattice, node: int) -> int:
 
 def _edge_path(lat: ConceptLattice, path: list[int]) -> list[str]:
     extents = [lat.nodes[n].extent.bits for n in path]
-
-    def lowest_anchor(node: int) -> int:
-        return next(iter_bits(lat.introduced[node].bits))
+    anchored = lat.anchored_edges
 
     entries: dict[int, int] = {}  # path position -> dedup edge index
     for pos, node in enumerate(path):
-        if lat.is_anchor(node):
-            entries[pos] = lowest_anchor(node)
+        if node in anchored:
+            entries[pos] = anchored[node][0]
         elif 0 < pos < len(path) - 1:
             prev_e, cur_e, next_e = extents[pos - 1], extents[pos], extents[pos + 1]
             if prev_e & cur_e == prev_e and next_e & cur_e == next_e:
@@ -165,24 +177,25 @@ def shortest_s_path(
 ) -> SPathResult:
     """Shortest s-path between two hyperedges, answered on the lattice.
 
-    The lattice path runs between the anchor nodes of the two edges in the
-    pruned view; the hyperedge path is extracted from it as described in
-    the module docstring. Raises NoSPathError when an endpoint is pruned
-    at this s or the endpoints fall in different pruned components.
+    The lattice path runs between the anchor nodes of the two edges over
+    the covers of the nodes retained at s; the hyperedge path is extracted
+    from it as described in the module docstring. Raises ValueError for
+    s < 1 and KeyError for an unknown edge name, in that order. Raises
+    NoSPathError when an endpoint is pruned at this s (checked before any
+    search) or the endpoints fall in different pruned components.
     """
-    view = prune(lat, s)
-    endpoints = {}
-    for role, name in (("source", source), ("target", target)):
-        anchor = edge_anchor(lat, name)
-        if anchor not in view.retained:
+    _check_s(s)
+    src, dst = edge_anchor(lat, source), edge_anchor(lat, target)
+    for role, name, node in (("source", source, src), ("target", target, dst)):
+        # An anchor is a hyperedge, so only its size can prune it.
+        if lat.nodes[node].extent.count < s:
             raise NoSPathError(
                 f"no {s}-path: {role} edge {name!r} has fewer than {s} "
                 f"vertices and is pruned",
                 reason=f"{role}-pruned",
             )
-        endpoints[role] = anchor
 
-    path = _bfs_path(view, endpoints["source"], endpoints["target"])
+    path = _bfs_path(lat, s, src, dst)
     if path is None:
         raise NoSPathError(
             f"no {s}-path: edges {source!r} and {target!r} lie in different "
@@ -201,27 +214,43 @@ def shortest_s_path(
 def s_connected_components(lat: ConceptLattice, s: int) -> list[tuple[str, ...]]:
     """s-connected components as hyperedge name groups.
 
-    Each pruned-view component is mapped to the hyperedges introduced at
-    its nodes; duplicate edges of the source hypergraph travel with their
-    representative column. Components are ordered by their smallest source
-    edge index, members likewise.
+    Each component of the covers among nodes retained at s is mapped to
+    the hyperedges anchored at its nodes; duplicate edges of the source
+    hypergraph travel with their representative column. Components are
+    ordered by their smallest source edge index, members likewise.
     """
-    view = prune(lat, s)
-    groups = []
-    for comp in view.components():
-        reps = set()
-        for node in comp:
-            reps.update(iter_bits(lat.introduced[node].bits))
-        if reps:
-            # alias insertion order is the source edge order, so members
-            # come out in original order and duplicates follow their
-            # representative's component
-            members = tuple(
-                name for name, rep in lat.edge_aliases.items() if rep in reps
-            )
-            groups.append((min(reps), members))
-    groups.sort()
-    return [members for _, members in groups]
+    _check_s(s)
+    offsets, neighbours = lat.cover_adjacency
+    sizes = lat.extent_sizes
+    hidden = _hidden_top(lat)
+    anchored = lat.anchored_edges
+    component_of: dict[int, int] = {}  # dedup edge index -> component
+    seen: set[int] = set()
+    n_components = 0
+    # Searching from the anchors in edge order finds each component from
+    # its smallest edge, so components come out in that order.
+    for node in lat.edge_anchors:
+        if node in seen or sizes[node] < s:
+            continue
+        seen.add(node)
+        stack = [node]
+        while stack:
+            n = stack.pop()
+            for j in anchored.get(n, ()):
+                component_of[j] = n_components
+            for m in neighbours[offsets[n]:offsets[n + 1]]:
+                if m not in seen and sizes[m] >= s and m != hidden:
+                    seen.add(m)
+                    stack.append(m)
+        n_components += 1
+    # alias insertion order is the source edge order, so members come out
+    # in original order and duplicates follow their representative's
+    # component
+    groups: list[list[str]] = [[] for _ in range(n_components)]
+    for name, rep in lat.edge_aliases.items():
+        if rep in component_of:
+            groups[component_of[rep]].append(name)
+    return [tuple(g) for g in groups]
 
 
 @dataclass(frozen=True)
@@ -245,17 +274,18 @@ class DepthHistograms:
 def depth_statistics(lat: ConceptLattice) -> DepthStatistics:
     """Shortest and longest cover-path lengths from every node to the top
     and to the bottom, by dynamic programming over the (already
-    topologically sorted) cover DAG."""
+    topologically sorted) cover DAG. In ``lat.cover_adjacency`` a node's
+    lower covers are its neighbours with a lower index, its upper covers
+    those with a higher one."""
     n = len(lat.nodes)
-    up = lat.cover_masks
-    down = lat.lower_cover_masks
+    offsets, neighbours = lat.cover_adjacency
 
     min_top = [0] * n
     max_top = [0] * n
     for i in range(n - 1, -1, -1):
         if i == lat.top_index:
             continue
-        ups = list(iter_bits(up[i]))
+        ups = [j for j in neighbours[offsets[i]:offsets[i + 1]] if j > i]
         min_top[i] = 1 + min(min_top[j] for j in ups)
         max_top[i] = 1 + max(max_top[j] for j in ups)
 
@@ -264,7 +294,7 @@ def depth_statistics(lat: ConceptLattice) -> DepthStatistics:
     for i in range(n):
         if i == lat.bottom_index:
             continue
-        downs = list(iter_bits(down[i]))
+        downs = [j for j in neighbours[offsets[i]:offsets[i + 1]] if j < i]
         min_bot[i] = 1 + min(min_bot[j] for j in downs)
         max_bot[i] = 1 + max(max_bot[j] for j in downs)
 

@@ -11,6 +11,7 @@ import argparse
 import json
 import sys
 import time
+import warnings
 from pathlib import Path
 
 from . import analytics, formats, generate, lattice, oracle
@@ -284,14 +285,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _show_warning(message, category, filename, lineno, file=None, line=None):
+    """Print a warning as one ``warning: ...`` line on stderr, without the
+    source location that Python's default format adds."""
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except CommandError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+    # Only the display changes: the warning filters in force still apply.
+    with warnings.catch_warnings():
+        warnings.showwarning = _show_warning
+        try:
+            return args.func(args)
+        except CommandError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return exc.code
 
 
 if __name__ == "__main__":

@@ -25,9 +25,10 @@ with an independent powerset enumeration of the concepts.
 from __future__ import annotations
 
 import warnings
+from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import combinations
+from itertools import accumulate, chain, combinations
 from typing import Iterable, Sequence
 
 from .core import (
@@ -74,7 +75,9 @@ class ConceptLattice:
     extent equals column j, and ``edge_aliases`` maps every edge name of
     the source hypergraph, duplicates included, to its deduplicated edge
     index (the identity on the edge names by default). Instances are
-    immutable after construction.
+    immutable after construction; the indices derived from these fields
+    (``order``, ``cover_adjacency``, ``anchored_edges`` and others) are
+    built on first use, deterministically.
     """
 
     def __init__(
@@ -143,12 +146,37 @@ class ConceptLattice:
         return frozenset(pairs)
 
     @cached_property
-    def lower_cover_masks(self) -> tuple[int, ...]:
-        down = [0] * len(self.nodes)
+    def cover_adjacency(self) -> tuple[array, array]:
+        """The covers read undirected, in compressed sparse row form:
+        node i's neighbours are ``neighbours[offsets[i]:offsets[i + 1]]``.
+
+        Each row is ascending. The order is topological, so a row holds
+        the node's lower covers (indices below i) and then its upper
+        covers (indices above i).
+        """
+        rows: list[list[int]] = [[] for _ in self.nodes]
         for i, mask in enumerate(self.cover_masks):
+            # rows[i] already holds every lower cover of i, ascending.
+            row = rows[i]
             for j in iter_bits(mask):
-                down[j] |= 1 << i
-        return tuple(down)
+                row.append(j)
+                rows[j].append(i)
+        offsets = array("i", accumulate(map(len, rows), initial=0))
+        return offsets, array("i", chain.from_iterable(rows))
+
+    @cached_property
+    def extent_sizes(self) -> tuple[int, ...]:
+        """Per node, the number of vertices in its extent."""
+        return tuple(c.extent.count for c in self.nodes)
+
+    @cached_property
+    def anchored_edges(self) -> dict[int, tuple[int, ...]]:
+        """Anchor node -> the edges anchored there, ascending; nodes that
+        anchor no edge are absent."""
+        edges: dict[int, list[int]] = {}
+        for j, node in enumerate(self.edge_anchors):
+            edges.setdefault(node, []).append(j)
+        return {node: tuple(js) for node, js in edges.items()}
 
     @cached_property
     def introduced(self) -> tuple[EdgeSet, ...]:
@@ -159,7 +187,7 @@ class ConceptLattice:
         return tuple(BitVec(self.hypergraph.n_edges, b) for b in bits)
 
     def is_anchor(self, node: int) -> bool:
-        return self.introduced[node].bits != 0
+        return node in self.anchored_edges
 
     def node_label(self, node: int) -> str:
         """Galois label ``{extent names} : {intent names}``."""

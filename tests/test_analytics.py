@@ -1,3 +1,5 @@
+import sys
+import threading
 import warnings
 from collections import deque
 
@@ -7,14 +9,20 @@ from conftest import random_dedup_hypergraph
 from hglattice import (
     NoSPathError,
     build_lattice_naive,
+    build_lattice_vectorized,
+    chung_lu_hypergraph,
+    dedup_edges,
     depth_histograms,
     depth_statistics,
+    edge_anchor,
     from_edge_list,
     oracle_components,
     oracle_shortest_s_path,
     overlap_size,
+    parse_lattice_document,
     prune,
     s_connected_components,
+    serialize_lattice,
     shortest_s_path,
 )
 
@@ -199,6 +207,152 @@ class TestComponents:
                 for comp in finer:
                     owners = {coarse[name] for name in comp}
                     assert len(owners) == 1, (seed, s, comp)
+
+
+def reference_path(view, src, dst):
+    """Level BFS over a pruned view, each level scanned in ascending order."""
+    parent = {src: None}
+    level = [src]
+    while level and dst not in parent:
+        nxt = []
+        for n in level:
+            for m in view.adjacency[n]:
+                if m not in parent:
+                    parent[m] = n
+                    nxt.append(m)
+        level = sorted(nxt)
+    if dst not in parent:
+        return None
+    path = [dst]
+    while parent[path[-1]] is not None:
+        path.append(parent[path[-1]])
+    return tuple(reversed(path))
+
+
+def reference_components(lat, view):
+    """DFS over a pruned view; each component's anchored edges, by name."""
+    seen = set()
+    groups = []
+    for start in sorted(view.retained):
+        if start in seen:
+            continue
+        seen.add(start)
+        stack, reps = [start], set()
+        while stack:
+            n = stack.pop()
+            reps.update(lat.introduced[n].indices())
+            for m in view.adjacency[n]:
+                if m not in seen:
+                    seen.add(m)
+                    stack.append(m)
+        if reps:
+            names = tuple(e for e, rep in lat.edge_aliases.items() if rep in reps)
+            groups.append((min(reps), names))
+    return [names for _, names in sorted(groups)]
+
+
+def path_answer(lat, s, a, b):
+    try:
+        res = shortest_s_path(lat, s, a, b)
+    except NoSPathError as exc:
+        return exc.reason
+    return res.lattice_path, res.hyperedge_path
+
+
+class TestSharedAdjacency:
+    """Queries filter one cover adjacency per lattice; these pin them to
+    searches over the ``prune`` view, which is built from the covers."""
+
+    def test_prune_adjacency_is_covers_among_retained(self):
+        for seed in range(40):
+            lat = build_lattice_naive(random_dedup_hypergraph(seed))
+            top = lat.top_index
+            for s in range(1, lat.hypergraph.n_vertices + 2):
+                view = prune(lat, s)
+                retained = {
+                    i for i, c in enumerate(lat.nodes)
+                    if c.extent.count >= s and (i != top or lat.is_anchor(top))
+                }
+                assert view.retained == retained, (seed, s)
+                expected = {i: set() for i in retained}
+                for lo, hi in lat.covers:
+                    if lo in retained and hi in retained:
+                        expected[lo].add(hi)
+                        expected[hi].add(lo)
+                assert view.adjacency == {
+                    i: tuple(sorted(ns)) for i, ns in expected.items()
+                }, (seed, s)
+
+    def test_queries_match_search_over_pruned_view(self):
+        for seed in range(40):
+            h = random_dedup_hypergraph(seed)
+            lat = build_lattice_naive(h)
+            for s in range(1, h.n_vertices + 2):
+                view = prune(lat, s)
+                assert s_connected_components(lat, s) == reference_components(
+                    lat, view
+                ), (seed, s)
+                for a in h.edge_names:
+                    for b in h.edge_names:
+                        src, dst = edge_anchor(lat, a), edge_anchor(lat, b)
+                        if src not in view.retained:
+                            expected = "source-pruned"
+                        elif dst not in view.retained:
+                            expected = "target-pruned"
+                        else:
+                            expected = reference_path(view, src, dst) or "disconnected"
+                        got = path_answer(lat, s, a, b)
+                        if not isinstance(got, str):
+                            got = got[0]
+                        assert got == expected, (seed, s, a, b)
+
+    def test_pruned_endpoint_leaves_adjacency_unbuilt(self, seven_groups):
+        lat = build_lattice_naive(seven_groups)
+        for source, target in (("7", "3"), ("3", "7")):
+            with pytest.raises(NoSPathError):
+                shortest_s_path(lat, 2, source, target)
+        assert "cover_adjacency" not in vars(lat)
+        shortest_s_path(lat, 2, "3", "1")
+        assert "cover_adjacency" in vars(lat)
+
+    def test_unknown_name_is_checked_before_pruning(self, seven_groups_lattice):
+        with pytest.raises(KeyError):
+            shortest_s_path(seven_groups_lattice, 2, "7", "99")
+        with pytest.raises(ValueError):
+            shortest_s_path(seven_groups_lattice, 0, "3", "99")
+
+    def test_threads_share_one_freshly_loaded_lattice(self):
+        h, _ = dedup_edges(chung_lu_hypergraph(200, 100, 2.2, seed=5))
+        doc = serialize_lattice(build_lattice_vectorized(h))
+        names = h.edge_names
+        queries = [(s, a, b) for s in (1, 2, 3) for a in names[:12] for b in names]
+
+        def answer_all(lat):
+            paths = [path_answer(lat, s, a, b) for s, a, b in queries]
+            comps = [s_connected_components(lat, s) for s in (1, 2, 3)]
+            return paths, comps
+
+        expected = answer_all(parse_lattice_document(doc))
+        lat = parse_lattice_document(doc)
+        start = threading.Barrier(4)
+        results = [None] * 4
+
+        def worker(k):
+            start.wait(timeout=30)
+            results[k] = answer_all(lat)
+
+        threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)  # switch threads inside the lazy builds
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(t.is_alive() for t in threads)
+        assert results == [expected] * 4
 
 
 def independent_depths(lat):

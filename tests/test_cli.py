@@ -1,5 +1,6 @@
 import json
 import statistics
+import warnings
 
 import pytest
 
@@ -73,6 +74,23 @@ class TestBuild:
     def test_missing_file_exit_1(self, capsys):
         code, _, err = run(capsys, "build", "/nonexistent/input.csv")
         assert code == 1
+
+    def test_duplicate_columns_warn_on_one_line(self, capsys, tmp_path):
+        path = tmp_path / "dup.edges"
+        path.write_text("x: a, b\ny: a, b\nz: b, c\n")
+        code, out, err = run(capsys, "build", str(path))
+        assert code == 0
+        json.loads(out)
+        assert err == (
+            "warning: hypergraph has duplicate edge columns; deduplicating "
+            "before lattice construction\n"
+        )
+        # the library still warns, so a caller's filter silences it
+        with warnings.catch_warnings():
+            warnings.filterwarnings("ignore", message="hypergraph has duplicate")
+            code, _, err = run(capsys, "build", str(path))
+        assert code == 0
+        assert err == ""
 
     def test_verify_refused_when_too_large(self, capsys, tmp_path):
         lines = "\n".join(f"e{j}: v{j}" for j in range(25))
