@@ -9,13 +9,12 @@ it touches the adjacency. The adjacency is built lazily on first use, and
 deterministically, so queries are pure reads of the lattice and safe to
 run concurrently.
 
-Edge-path extraction follows the pruned-lattice walk: anchor nodes
-contribute their hyperedge, pass-through intersections are skipped, and a
-node that is a local maximum of the walk without being an anchor
-contributes the lowest-index hyperedge containing its extent. That witness
-keeps every reported path a valid s-path (consecutive edges overlap in at
-least s vertices); the walk-derived hop count is not guaranteed to be the
-minimum over all s-paths, which the brute-force oracle makes testable.
+A path query is a breadth-first search over hyperedges that only walks
+down the covers: the intents of the nodes under an edge's anchor, with at
+least s vertices each, list exactly the edges that meet it in s or more
+vertices. Its distance is the exact s-distance (Aksoy et al., EPJ Data
+Science 9:16, 2020), and its lattice path is the cover walk through
+retained nodes that realises the path, not the fewest cover hops.
 """
 
 from __future__ import annotations
@@ -23,7 +22,8 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass, field
 
-from .lattice import ConceptLattice, edge_anchor
+from .core import iter_bits
+from .lattice import ConceptLattice
 
 
 class NoSPathError(Exception):
@@ -93,7 +93,7 @@ def prune(lat: ConceptLattice, s: int) -> PrunedLatticeView:
     do not call this.
     """
     _check_s(s)
-    offsets, neighbours = lat.cover_adjacency
+    offsets, _, neighbours = lat.cover_adjacency
     hidden = _hidden_top(lat)
     retained = frozenset(
         i for i, size in enumerate(lat.extent_sizes) if size >= s and i != hidden
@@ -105,71 +105,71 @@ def prune(lat: ConceptLattice, s: int) -> PrunedLatticeView:
     return PrunedLatticeView(lat, s, retained, adjacency)
 
 
-def _bfs_path(lat: ConceptLattice, s: int, src: int, dst: int) -> list[int] | None:
-    """Shortest path over the covers of nodes retained at s, by level BFS;
-    each frontier is scanned in ascending node order so parents (and hence
-    the path) are deterministic."""
-    offsets, neighbours = lat.cover_adjacency
-    sizes = lat.extent_sizes
-    hidden = _hidden_top(lat)
-    parent: dict[int, int] = {src: -1}
-    level = [src]
-    while level and dst not in parent:
-        nxt = []
-        for n in level:
-            for m in neighbours[offsets[n]:offsets[n + 1]]:
-                if m not in parent and sizes[m] >= s and m != hidden:
-                    parent[m] = n
-                    nxt.append(m)
-        level = sorted(nxt)
-    if dst not in parent:
-        return None
-    path = [dst]
-    while parent[path[-1]] != -1:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return path
+def _edge_search(lat: ConceptLattice, s: int, source: int, target: int):
+    """(cover walk, edges) of a fewest-hop s-path between two distinct
+    edges, or None. Round k holds the edges at s-distance k; each round
+    walks down from its edges' anchors onto nodes with at least s vertices
+    and takes the unseen edges off their intents. The first node where an
+    edge turns up is its valley. A node is walked once per query: when
+    reached again, the nodes below it were walked already."""
+    offsets, uppers, neighbours = lat.cover_adjacency
+    sizes, intents, anchors = lat.extent_sizes, lat.intent_bits, lat.edge_anchors
+    unseen = ((1 << lat.hypergraph.n_edges) - 1) ^ (1 << source)
+    goal = 1 << target
+    # node -> the node above that reached it, or ~e at the anchor of edge e
+    down: dict[int, int] = {}
+    valley: dict[int, int] = {}
+    level = [source]
+    while level:
+        nxt: list[int] = []
+        for e in level:
+            root = anchors[e]
+            if root in down:
+                continue
+            down[root] = ~e
+            reached = [root]
+            for n in reached:
+                hit = intents[n] & unseen
+                if hit:
+                    if hit & goal:
+                        valley[target] = n
+                        return _realising_walk(lat, source, target, down, valley)
+                    unseen ^= hit
+                    for f in iter_bits(hit):
+                        valley[f] = n
+                        nxt.append(f)
+                for m in neighbours[offsets[n]:uppers[n]]:
+                    if m not in down and sizes[m] >= s:
+                        down[m] = n
+                        reached.append(m)
+        level = nxt
+    return None
 
 
-def _witness_edge(lat: ConceptLattice, node: int) -> int:
-    """Lowest-index hyperedge whose column contains the node's extent."""
-    ext = lat.nodes[node].extent
-    for j, col in enumerate(lat.hypergraph.chi.columns):
-        if ext.bits & col == ext.bits:
-            return j
-    raise AssertionError("retained non-anchor node must lie under some edge")
-
-
-def _edge_path(lat: ConceptLattice, path: list[int]) -> list[str]:
-    extents = [lat.nodes[n].extent.bits for n in path]
-    anchored = lat.anchored_edges
-
-    entries: dict[int, int] = {}  # path position -> dedup edge index
-    for pos, node in enumerate(path):
-        if node in anchored:
-            entries[pos] = anchored[node][0]
-        elif 0 < pos < len(path) - 1:
-            prev_e, cur_e, next_e = extents[pos - 1], extents[pos], extents[pos + 1]
-            if prev_e & cur_e == prev_e and next_e & cur_e == next_e:
-                # Local maximum that is not a hyperedge: passing over it is
-                # only a real s-step through some edge containing it.
-                entries[pos] = _witness_edge(lat, node)
-
-    # Middles of monotone containment chains are redundant hops: the outer
-    # pair already overlaps in the smaller extent.
-    for pos in range(1, len(path) - 1):
-        a, b, c = extents[pos - 1], extents[pos], extents[pos + 1]
-        ascending = a & b == a and b & c == b
-        descending = c & b == c and b & a == b
-        if ascending or descending:
-            entries.pop(pos, None)
-
-    names = []
-    for pos in sorted(entries):
-        name = lat.hypergraph.edge_names[entries[pos]]
-        if not names or names[-1] != name:
-            names.append(name)
-    return names
+def _realising_walk(lat, source, target, down, valley):
+    """Rebuild the path from the target: down from each edge's anchor to
+    its valley over lower covers that contain the valley, then up the
+    links that reached the valley to the previous edge's anchor."""
+    offsets, uppers, neighbours = lat.cover_adjacency
+    nodes = lat.nodes
+    edges, walk = [target], []
+    e = target
+    while e != source:
+        n, v = lat.edge_anchors[e], valley[e]
+        bits = nodes[v].extent.bits
+        while n != v:
+            walk.append(n)
+            n = next(
+                m for m in neighbours[offsets[n]:uppers[n]]
+                if nodes[m].extent.bits & bits == bits
+            )
+        while (up := down[n]) >= 0:
+            walk.append(n)
+            n = up
+        e = ~up
+        edges.append(e)
+    walk.append(lat.edge_anchors[source])
+    return walk[::-1], edges[::-1]
 
 
 def shortest_s_path(
@@ -177,37 +177,37 @@ def shortest_s_path(
 ) -> SPathResult:
     """Shortest s-path between two hyperedges, answered on the lattice.
 
-    The lattice path runs between the anchor nodes of the two edges over
-    the covers of the nodes retained at s; the hyperedge path is extracted
-    from it as described in the module docstring. Raises ValueError for
+    The hyperedge path has the fewest hops of any s-path between the two
+    edges, and the lattice path is the cover walk among nodes retained at
+    s that realises it (see the module docstring). Raises ValueError for
     s < 1 and KeyError for an unknown edge name, in that order. Raises
     NoSPathError when an endpoint is pruned at this s (checked before any
-    search) or the endpoints fall in different pruned components.
+    search) or the endpoints fall in different s-connected components.
     """
     _check_s(s)
-    src, dst = edge_anchor(lat, source), edge_anchor(lat, target)
-    for role, name, node in (("source", source, src), ("target", target, dst)):
+    a, b = lat.resolve_edge(source), lat.resolve_edge(target)
+    for role, name, j in (("source", source, a), ("target", target, b)):
         # An anchor is a hyperedge, so only its size can prune it.
-        if lat.nodes[node].extent.count < s:
+        if lat.nodes[lat.edge_anchors[j]].extent.count < s:
             raise NoSPathError(
                 f"no {s}-path: {role} edge {name!r} has fewer than {s} "
                 f"vertices and is pruned",
                 reason=f"{role}-pruned",
             )
 
-    path = _bfs_path(lat, s, src, dst)
-    if path is None:
+    found = ([lat.edge_anchors[a]], [a]) if a == b else _edge_search(lat, s, a, b)
+    if found is None:
         raise NoSPathError(
             f"no {s}-path: edges {source!r} and {target!r} lie in different "
             f"{s}-connected components",
             reason="disconnected",
         )
-    edge_names = _edge_path(lat, path)
+    walk, edges = found
     return SPathResult(
-        lattice_path=tuple(path),
-        lattice_distance=len(path) - 1,
-        hyperedge_path=tuple(edge_names),
-        hypergraph_distance=len(edge_names) - 1,
+        lattice_path=tuple(walk),
+        lattice_distance=len(walk) - 1,
+        hyperedge_path=tuple(lat.hypergraph.edge_names[j] for j in edges),
+        hypergraph_distance=len(edges) - 1,
     )
 
 
@@ -220,7 +220,7 @@ def s_connected_components(lat: ConceptLattice, s: int) -> list[tuple[str, ...]]
     ordered by their smallest source edge index, members likewise.
     """
     _check_s(s)
-    offsets, neighbours = lat.cover_adjacency
+    offsets, _, neighbours = lat.cover_adjacency
     sizes = lat.extent_sizes
     hidden = _hidden_top(lat)
     anchored = lat.anchored_edges
@@ -274,18 +274,17 @@ class DepthHistograms:
 def depth_statistics(lat: ConceptLattice) -> DepthStatistics:
     """Shortest and longest cover-path lengths from every node to the top
     and to the bottom, by dynamic programming over the (already
-    topologically sorted) cover DAG. In ``lat.cover_adjacency`` a node's
-    lower covers are its neighbours with a lower index, its upper covers
-    those with a higher one."""
+    topologically sorted) cover DAG, whose lower and upper covers
+    ``lat.cover_adjacency`` keeps apart in each row."""
     n = len(lat.nodes)
-    offsets, neighbours = lat.cover_adjacency
+    offsets, uppers, neighbours = lat.cover_adjacency
 
     min_top = [0] * n
     max_top = [0] * n
     for i in range(n - 1, -1, -1):
         if i == lat.top_index:
             continue
-        ups = [j for j in neighbours[offsets[i]:offsets[i + 1]] if j > i]
+        ups = neighbours[uppers[i]:offsets[i + 1]]
         min_top[i] = 1 + min(min_top[j] for j in ups)
         max_top[i] = 1 + max(max_top[j] for j in ups)
 
@@ -294,7 +293,7 @@ def depth_statistics(lat: ConceptLattice) -> DepthStatistics:
     for i in range(n):
         if i == lat.bottom_index:
             continue
-        downs = [j for j in neighbours[offsets[i]:offsets[i + 1]] if j < i]
+        downs = neighbours[offsets[i]:uppers[i]]
         min_bot[i] = 1 + min(min_bot[j] for j in downs)
         max_bot[i] = 1 + max(max_bot[j] for j in downs)
 

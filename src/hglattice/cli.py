@@ -121,7 +121,8 @@ def _cmd_path(args) -> int:
     try:
         result = analytics.shortest_s_path(lat, args.s, args.source, args.target)
     except KeyError as exc:
-        raise CommandError(str(exc), EXIT_PARSE)
+        # str() of a KeyError is the repr of its message, quotes included
+        raise CommandError(exc.args[0], EXIT_PARSE)
     except analytics.NoSPathError as exc:
         raise CommandError(str(exc), EXIT_NO_PATH)
     payload = {

@@ -76,8 +76,10 @@ class ConceptLattice:
     the source hypergraph, duplicates included, to its deduplicated edge
     index (the identity on the edge names by default). Instances are
     immutable after construction; the indices derived from these fields
-    (``order``, ``cover_adjacency``, ``anchored_edges`` and others) are
-    built on first use, deterministically.
+    (``order``, ``cover_adjacency``, ``extent_sizes``, ``intent_bits``,
+    ``anchored_edges`` and others) are built on first use,
+    deterministically. ``cover_adjacency`` splits each node's row at
+    ``uppers``, so queries read the lower or the upper covers alone.
     """
 
     def __init__(
@@ -146,28 +148,38 @@ class ConceptLattice:
         return frozenset(pairs)
 
     @cached_property
-    def cover_adjacency(self) -> tuple[array, array]:
-        """The covers read undirected, in compressed sparse row form:
-        node i's neighbours are ``neighbours[offsets[i]:offsets[i + 1]]``.
+    def cover_adjacency(self) -> tuple[array, array, array]:
+        """The covers read undirected, in compressed sparse row form, as
+        ``(offsets, uppers, neighbours)``: node i's neighbours are
+        ``neighbours[offsets[i]:offsets[i + 1]]``.
 
         Each row is ascending. The order is topological, so a row holds
-        the node's lower covers (indices below i) and then its upper
-        covers (indices above i).
+        the node's lower covers (indices below i), which end at
+        ``uppers[i]``, and then its upper covers (indices above i).
         """
         rows: list[list[int]] = [[] for _ in self.nodes]
+        uppers = array("i")
+        start = 0
         for i, mask in enumerate(self.cover_masks):
             # rows[i] already holds every lower cover of i, ascending.
             row = rows[i]
+            uppers.append(start + len(row))
             for j in iter_bits(mask):
                 row.append(j)
                 rows[j].append(i)
+            start += len(row)
         offsets = array("i", accumulate(map(len, rows), initial=0))
-        return offsets, array("i", chain.from_iterable(rows))
+        return offsets, uppers, array("i", chain.from_iterable(rows))
 
     @cached_property
     def extent_sizes(self) -> tuple[int, ...]:
         """Per node, the number of vertices in its extent."""
         return tuple(c.extent.count for c in self.nodes)
+
+    @cached_property
+    def intent_bits(self) -> tuple[int, ...]:
+        """Per node, its intent as a plain int of edge bits."""
+        return tuple(c.intent.bits for c in self.nodes)
 
     @cached_property
     def anchored_edges(self) -> dict[int, tuple[int, ...]]:

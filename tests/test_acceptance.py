@@ -1,13 +1,9 @@
 """Acceptance suite.
 
 One test per acceptance criterion; each prints a single
-``ACCEPTANCE <n> PASS|FAIL`` line. Criterion 5 is an experiment: it demands
-that the lattice-walk distance always equals the brute-force shortest
-s-path distance. Reachability provably agrees and every reported path is a
-valid s-path, but the walk can overshoot the optimum (see
-test_analytics.py for the always-true halves). When that happens this
-suite fails the criterion and prints a minimized counterexample rather
-than hiding the gap.
+``ACCEPTANCE <n> PASS|FAIL`` line. Criterion 5 checks that the path
+query's distance equals the brute-force shortest s-path distance on every
+query; should a query ever disagree, it prints a minimized counterexample.
 """
 
 import functools

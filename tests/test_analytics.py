@@ -112,8 +112,8 @@ class TestShortestSPath:
             shortest_s_path(seven_groups_lattice, 1, "3", "99")
 
     def test_non_anchor_peak_gets_witnessed(self):
-        # crossing {a,b}, which is not itself an edge, must contribute a
-        # hyperedge containing it, or the reported path would be invalid
+        # only f1 and f2 meet both x and y, and {a,b}, under both of them,
+        # is no edge itself: the path passes through f1, found first
         h = from_edge_list(
             [("x", ["a"]), ("y", ["b"]), ("f1", ["a", "b", "c"]),
              ("f2", ["a", "b", "d"])]
@@ -121,6 +121,32 @@ class TestShortestSPath:
         res = shortest_s_path(build_lattice_naive(h), 1, "x", "y")
         assert res.hyperedge_path == ("x", "f1", "y")
         assert res.hypergraph_distance == 2
+
+    def test_overlapping_ends_take_one_hop(self):
+        # p and r share a, so the path must not pass through q
+        lat = build_lattice_naive(
+            from_edge_list([("p", ["a", "b"]), ("q", ["a"]), ("r", ["a", "c"])])
+        )
+        res = shortest_s_path(lat, 1, "p", "r")
+        assert res.hyperedge_path == ("p", "r")
+        assert res.hypergraph_distance == 1
+
+    def test_hidden_top_is_no_peak(self):
+        # the top {a,b} is no hyperedge, so nothing joins x and y
+        lat = build_lattice_naive(from_edge_list([("x", ["a"]), ("y", ["b"])]))
+        with pytest.raises(NoSPathError) as exc:
+            shortest_s_path(lat, 1, "x", "y")
+        assert exc.value.reason == "disconnected"
+
+    def test_topped_path_crosses_the_top_edge(self):
+        lat = build_lattice_naive(
+            from_edge_list([("big", ["a", "b", "c"]), ("x", ["a"]), ("y", ["b"])])
+        )
+        res = shortest_s_path(lat, 1, "x", "y")
+        assert res.hyperedge_path == ("x", "big", "y")
+        labels = [extent_names(lat, n) for n in res.lattice_path]
+        assert labels == [{"a"}, {"a", "b", "c"}, {"b"}]
+        assert res.lattice_distance == 2
 
     def test_paths_always_valid_and_never_beat_oracle(self):
         for seed in range(60):
@@ -284,6 +310,8 @@ class TestSharedAdjacency:
                 }, (seed, s)
 
     def test_queries_match_search_over_pruned_view(self):
+        # Reachability must match a search over the view; a found path is
+        # a walk over the view's adjacency of the oracle's length.
         for seed in range(40):
             h = random_dedup_hypergraph(seed)
             lat = build_lattice_naive(h)
@@ -299,12 +327,25 @@ class TestSharedAdjacency:
                             expected = "source-pruned"
                         elif dst not in view.retained:
                             expected = "target-pruned"
+                        elif reference_path(view, src, dst) is None:
+                            expected = "disconnected"
                         else:
-                            expected = reference_path(view, src, dst) or "disconnected"
-                        got = path_answer(lat, s, a, b)
-                        if not isinstance(got, str):
-                            got = got[0]
-                        assert got == expected, (seed, s, a, b)
+                            expected = None
+                        try:
+                            res = shortest_s_path(lat, s, a, b)
+                        except NoSPathError as exc:
+                            assert exc.reason == expected, (seed, s, a, b)
+                            continue
+                        assert expected is None, (seed, s, a, b)
+                        walk = res.lattice_path
+                        assert (walk[0], walk[-1]) == (src, dst), (seed, s, a, b)
+                        for x, y in zip(walk, walk[1:]):
+                            assert y in view.adjacency[x], (seed, s, a, b)
+                        assert res.lattice_distance == len(walk) - 1
+                        best = oracle_shortest_s_path(
+                            h, s, h.edge_index[a], h.edge_index[b]
+                        )
+                        assert res.hypergraph_distance == best[0], (seed, s, a, b)
 
     def test_pruned_endpoint_leaves_adjacency_unbuilt(self, seven_groups):
         lat = build_lattice_naive(seven_groups)

@@ -144,6 +144,7 @@ class TestPath:
             capsys, "path", groups_csv, "--s", "1", "--from", "3", "--to", "99"
         )
         assert code == 1
+        assert err == "error: unknown edge name '99'\n"
 
     def test_invalid_s(self, capsys, groups_csv):
         code, _, err = run(
