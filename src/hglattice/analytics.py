@@ -1,13 +1,13 @@
 """Path and connectivity queries answered on a prebuilt concept lattice.
 
-The lattice is built once, and so is its undirected cover adjacency
-(``ConceptLattice.cover_adjacency``). A query for overlap threshold s reads
-that one adjacency through a filter: it keeps the nodes whose extent has
-at least s vertices, minus a top that is not itself a hyperedge. Nothing
-is built per query or per s. A path query rejects a pruned endpoint before
-it touches the adjacency. The adjacency is built lazily on first use, and
-deterministically, so queries are pure reads of the lattice and safe to
-run concurrently.
+The lattice packs its undirected cover adjacency
+(``ConceptLattice.cover_adjacency``) once, when it is assembled. A query
+for overlap threshold s reads that one adjacency through a filter: it
+keeps the nodes whose extent has at least s vertices, minus a top that is
+not itself a hyperedge. Nothing is built per query or per s. A path query
+rejects a pruned endpoint before it searches. Queries only read the
+lattice (the per-node indices it derives on first use are deterministic),
+so they are safe to run concurrently.
 
 A path query is a breadth-first search over hyperedges that only walks
 down the covers: the intents of the nodes under an edge's anchor, with at

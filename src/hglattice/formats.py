@@ -127,6 +127,7 @@ def lattice_to_document(lat: ConceptLattice) -> dict:
         for name, rep in sorted(lat.edge_aliases.items())
         if name != h.edge_names[rep]
     }
+    anchored = lat.anchored_edges
     nodes = []
     for i, c in enumerate(lat.nodes):
         nodes.append(
@@ -134,7 +135,7 @@ def lattice_to_document(lat: ConceptLattice) -> dict:
                 "id": i,
                 "extent": list(h.vertex_names_of(c.extent)),
                 "intent": list(h.edge_names_of(c.intent)),
-                "introduces": list(h.edge_names_of(lat.introduced[i])),
+                "introduces": [h.edge_names[j] for j in anchored.get(i, ())],
             }
         )
     return {
@@ -149,7 +150,7 @@ def lattice_to_document(lat: ConceptLattice) -> dict:
         "top": lat.top_index,
         "bottom": lat.bottom_index,
         "nodes": nodes,
-        "covers": sorted([lo, hi] for lo, hi in lat.covers),
+        "covers": [[lo, hi] for lo, hi in lat.covers],
     }
 
 
@@ -200,10 +201,11 @@ def document_to_lattice(doc: dict) -> ConceptLattice:
     """Rebuild the canonical lattice from its document form.
 
     Every field is type-checked. Extents are taken from the node records
-    and edge columns from the nodes that introduce them; intents, covers,
-    top and bottom are then recomputed by the builder's per-node rule
-    (``concept_neighbours``) and the stored ones must agree, so a tampered
-    document fails instead of producing an inconsistent lattice.
+    and edge columns from the nodes that introduce them; intents and
+    covers are then recomputed by the builder's per-node rule
+    (``concept_neighbours``), top and bottom follow from the canonical
+    order, and the stored ones must agree, so a tampered document fails
+    instead of producing an inconsistent lattice.
     """
     _require(isinstance(doc, dict), "document must be a JSON object")
     _require(doc.get("format") == DOCUMENT_FORMAT,
@@ -211,9 +213,9 @@ def document_to_lattice(doc: dict) -> ConceptLattice:
     hg = _field(doc, "hypergraph", dict, "document")
     vertex_names = _name_table(hg, "vertices")
     edge_names = _name_table(hg, "edges")
-    _require(hg.get("n_vertices") == len(vertex_names),
+    _require(_field(hg, "n_vertices", int, "hypergraph") == len(vertex_names),
              "vertex table does not match n_vertices")
-    _require(hg.get("n_edges") == len(edge_names),
+    _require(_field(hg, "n_edges", int, "hypergraph") == len(edge_names),
              "edge table does not match n_edges")
     duplicates = hg.get("duplicate_edges", {})
     _require(type(duplicates) is dict,
@@ -229,7 +231,8 @@ def document_to_lattice(doc: dict) -> ConceptLattice:
     for i, rec in enumerate(records):
         where = f"node {i}"
         _require(type(rec) is dict, f"{where}: not an object")
-        _require(rec.get("id") == i, "node ids must be 0..n-1 in order")
+        _require(_field(rec, "id", int, where) == i,
+                 "node ids must be 0..n-1 in order")
         extents.append(_bits_of(rec, "extent", vidx, where))
         intents.append(_bits_of(rec, "intent", eidx, where))
         introduces.append(_bits_of(rec, "introduces", eidx, where))
@@ -269,7 +272,7 @@ def document_to_lattice(doc: dict) -> ConceptLattice:
     for i, node in enumerate(lat.nodes):
         _require(node.intent.bits == intents[i],
                  f"node {i}: stored intent disagrees with edge columns")
-    covers = sorted([lo, hi] for lo, hi in lat.covers)
+    covers = [[lo, hi] for lo, hi in lat.covers]
     _require(_field(doc, "covers", list, "document") == covers,
              "stored covers disagree with node extents")
     _require(_field(doc, "top", int, "document") == lat.top_index,
@@ -298,7 +301,7 @@ def lattice_to_dot(lat: ConceptLattice) -> str:
     for i in range(len(lat.nodes)):
         label = lat.node_label(i).replace('"', '\\"')
         lines.append(f'  n{i} [label="{label}"];')
-    for lo, hi in sorted(lat.covers):
+    for lo, hi in lat.covers:
         lines.append(f"  n{lo} -> n{hi};")
     lines.append("}")
     return "\n".join(lines) + "\n"

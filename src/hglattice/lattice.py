@@ -68,39 +68,58 @@ class ConceptLattice:
     """Canonically ordered concept lattice of a deduplicated hypergraph.
 
     Nodes are sorted by (extent cardinality, extent index tuple), which is
-    a topological order of the cover DAG from bottom to top. The covers are
-    the only stored order: ``cover_masks`` holds, per node, its upper
-    covers as a bitmask over node indices, and the full containment order
-    is derived from them on demand. ``edge_anchors[j]`` is the node whose
+    a topological order of the cover DAG from bottom to top, so the bottom
+    is node 0 and the top (the full vertex set) the last node. The covers
+    are the only stored order: ``__init__`` packs each node's lower covers
+    once into ``cover_adjacency``, the covers read undirected in compressed
+    sparse row form ``(offsets, uppers, neighbours)``. Node i's row
+    ``neighbours[offsets[i]:offsets[i + 1]]`` holds its lower covers up to
+    ``uppers[i]``, then its upper covers, each part ascending; ``covers``
+    and the full containment ``order`` are read off these rows.
+    ``edge_anchors[j]`` is the node whose
     extent equals column j, and ``edge_aliases`` maps every edge name of
     the source hypergraph, duplicates included, to its deduplicated edge
     index (the identity on the edge names by default). Instances are
-    immutable after construction; the indices derived from these fields
-    (``order``, ``cover_adjacency``, ``extent_sizes``, ``intent_bits``,
-    ``anchored_edges`` and others) are built on first use,
-    deterministically. ``cover_adjacency`` splits each node's row at
-    ``uppers``, so queries read the lower or the upper covers alone.
+    immutable after construction; the other indices derived from these
+    fields (``order``, ``covers``, ``extent_sizes``, ``intent_bits``,
+    ``anchored_edges``) are built on first use, deterministically.
     """
 
     def __init__(
         self,
         hypergraph: Hypergraph,
         nodes: tuple[Concept, ...],
-        cover_masks: tuple[int, ...],
-        top_index: int,
-        bottom_index: int,
+        lower_covers: Sequence[Iterable[int]],
         edge_anchors: tuple[int, ...],
         edge_aliases: dict[str, int] | None = None,
     ):
         self.hypergraph = hypergraph
         self.nodes = nodes
-        self.cover_masks = cover_masks
-        self.top_index = top_index
-        self.bottom_index = bottom_index
         self.edge_anchors = edge_anchors
         if edge_aliases is None:
             edge_aliases = dict(hypergraph.edge_index)
         self.edge_aliases = edge_aliases
+        rows = [sorted(lower) for lower in lower_covers]
+        n_lower = [len(row) for row in rows]
+        for i, row in enumerate(rows):
+            # Upper covers sort after i, so row holds only lower covers yet.
+            for j in row:
+                rows[j].append(i)
+        offsets = array("i", accumulate(map(len, rows), initial=0))
+        uppers = array("i", (o + k for o, k in zip(offsets, n_lower)))
+        self.cover_adjacency = (
+            offsets, uppers, array("i", chain.from_iterable(rows))
+        )
+
+    @property
+    def top_index(self) -> int:
+        """The full vertex set, the largest extent."""
+        return len(self.nodes) - 1
+
+    @property
+    def bottom_index(self) -> int:
+        """The AND of all edge columns, the smallest extent."""
+        return 0
 
     def __len__(self) -> int:
         return len(self.nodes)
@@ -111,9 +130,7 @@ class ConceptLattice:
         return (
             self.hypergraph == other.hypergraph
             and self.nodes == other.nodes
-            and self.cover_masks == other.cover_masks
-            and self.top_index == other.top_index
-            and self.bottom_index == other.bottom_index
+            and self.cover_adjacency == other.cover_adjacency
             and self.edge_anchors == other.edge_anchors
             and self.edge_aliases == other.edge_aliases
         )
@@ -129,47 +146,27 @@ class ConceptLattice:
         Upper covers sort after the node, so walking down from the top
         sees every upper cover's set of supersets complete.
         """
+        offsets, uppers, neighbours = self.cover_adjacency
         up = [0] * len(self.nodes)
         pairs = set()
         for i in range(len(self.nodes) - 1, -1, -1):
             acc = 1 << i
-            for k in iter_bits(self.cover_masks[i]):
+            for k in neighbours[uppers[i]:offsets[i + 1]]:
                 acc |= up[k]
             up[i] = acc
             pairs.update((i, j) for j in iter_bits(acc))
         return frozenset(pairs)
 
     @cached_property
-    def covers(self) -> frozenset[tuple[int, int]]:
-        """Transitive reduction of the strict order: (lower, upper) pairs."""
-        pairs = set()
-        for i, mask in enumerate(self.cover_masks):
-            pairs.update((i, j) for j in iter_bits(mask))
-        return frozenset(pairs)
-
-    @cached_property
-    def cover_adjacency(self) -> tuple[array, array, array]:
-        """The covers read undirected, in compressed sparse row form, as
-        ``(offsets, uppers, neighbours)``: node i's neighbours are
-        ``neighbours[offsets[i]:offsets[i + 1]]``.
-
-        Each row is ascending. The order is topological, so a row holds
-        the node's lower covers (indices below i), which end at
-        ``uppers[i]``, and then its upper covers (indices above i).
-        """
-        rows: list[list[int]] = [[] for _ in self.nodes]
-        uppers = array("i")
-        start = 0
-        for i, mask in enumerate(self.cover_masks):
-            # rows[i] already holds every lower cover of i, ascending.
-            row = rows[i]
-            uppers.append(start + len(row))
-            for j in iter_bits(mask):
-                row.append(j)
-                rows[j].append(i)
-            start += len(row)
-        offsets = array("i", accumulate(map(len, rows), initial=0))
-        return offsets, uppers, array("i", chain.from_iterable(rows))
+    def covers(self) -> tuple[tuple[int, int], ...]:
+        """Transitive reduction of the strict order: (lower, upper) pairs,
+        ascending."""
+        offsets, uppers, neighbours = self.cover_adjacency
+        return tuple(
+            (i, j)
+            for i in range(len(self.nodes))
+            for j in neighbours[uppers[i]:offsets[i + 1]]
+        )
 
     @cached_property
     def extent_sizes(self) -> tuple[int, ...]:
@@ -189,14 +186,6 @@ class ConceptLattice:
         for j, node in enumerate(self.edge_anchors):
             edges.setdefault(node, []).append(j)
         return {node: tuple(js) for node, js in edges.items()}
-
-    @cached_property
-    def introduced(self) -> tuple[EdgeSet, ...]:
-        """Per node, the edges whose anchor it is."""
-        bits = [0] * len(self.nodes)
-        for j, node in enumerate(self.edge_anchors):
-            bits[node] |= 1 << j
-        return tuple(BitVec(self.hypergraph.n_edges, b) for b in bits)
 
     def is_anchor(self, node: int) -> bool:
         return node in self.anchored_edges
@@ -248,7 +237,6 @@ def _finalize(
 ) -> ConceptLattice:
     """Assemble the naive builder's lattice object from canonically sorted
     extents and the strict-superset masks; everything else is derived here."""
-    n_nodes = len(extents)
     nv, ne = reduced.n_vertices, reduced.n_edges
 
     intents = [intent_prime(reduced, BitVec(nv, e)).bits for e in extents]
@@ -257,22 +245,15 @@ def _finalize(
         Concept(BitVec(nv, e), BitVec(ne, b)) for e, b in zip(extents, intents)
     )
 
-    # Upper covers: strict supersets not reachable through another one.
-    cover_masks = []
-    for i in range(n_nodes):
+    # The upper covers of i are its strict supersets not reachable through
+    # another one, and i is a lower cover of each.
+    lower_covers: list[list[int]] = [[] for _ in extents]
+    for i in range(len(extents)):
         reachable = 0
         for k in iter_bits(up_masks[i]):
             reachable |= up_masks[k]
-        cover_masks.append(up_masks[i] & ~reachable)
-
-    full = (1 << nv) - 1
-    top_index = extents.index(full)
-    # The extent family is intersection closed, so it has a unique minimum:
-    # the node below every other one.
-    all_others = (1 << n_nodes) - 1
-    bottom_index = next(
-        i for i in range(n_nodes) if up_masks[i] | (1 << i) == all_others
-    )
+        for j in iter_bits(up_masks[i] & ~reachable):
+            lower_covers[j].append(i)
 
     node_by_extent = {e: i for i, e in enumerate(extents)}
     edge_anchors = tuple(node_by_extent[col] for col in reduced.chi.columns)
@@ -280,9 +261,7 @@ def _finalize(
     return ConceptLattice(
         hypergraph=reduced,
         nodes=nodes,
-        cover_masks=tuple(cover_masks),
-        top_index=top_index,
-        bottom_index=bottom_index,
+        lower_covers=lower_covers,
         edge_anchors=edge_anchors,
         edge_aliases=edge_aliases,
     )
@@ -371,23 +350,24 @@ def lattice_from_neighbours(
     """Lattice object of a deduplicated hypergraph from the
     ``concept_neighbours`` of each extent in its extent family.
 
-    Nodes take the canonical order of the extents and the lower covers are
-    inverted into upper-cover masks, so no pairwise containment test is
-    made. The bottom is the AND of all columns, and each edge is anchored
-    at the node whose extent equals its column.
+    Nodes take the canonical order of the extents, and each node's lower
+    covers are its extent's ``concept_neighbours`` lower covers, mapped to
+    node indices, so no pairwise containment test is made. Each edge is
+    anchored at the node whose extent equals its column.
 
     Raises ExtentFamilyError when the extents are not that family: an
     extent that is not the AND of its intent's columns, or a lower cover,
-    the top, the bottom or a column that is not one of the extents. These
+    a column or the full vertex set that is not one of the extents. These
     checks pin the family down: every extent is a column intersection or
     the top, and an intersection of an extent with a column that is
     missing would be, or lie below, some extent's missing lower cover.
+    The family is then closed under intersection, so the canonical order
+    puts its minimum, the AND of all columns, first and the full vertex
+    set last.
     """
     nv, ne = reduced.n_vertices, reduced.n_edges
     columns = reduced.chi.columns
-    full = (1 << nv) - 1
     extents = _canonical_order(neighbours)
-    n_nodes = len(extents)
     index = {e: i for i, e in enumerate(extents)}
 
     def node_of(extent: int, what: str) -> int:
@@ -397,21 +377,20 @@ def lattice_from_neighbours(
             raise ExtentFamilyError(f"{what} is not a node extent") from None
 
     intents = []
-    cover_masks = [0] * n_nodes
+    lower_covers = []
     for i, x in enumerate(extents):
         intent, closed, lower = neighbours[x]
         if closed != x:
             raise ExtentFamilyError(
                 f"extent {i} is not the AND of its intent's columns"
             )
-        for y in lower:
-            cover_masks[node_of(y, f"a lower cover of extent {i}")] |= 1 << i
         intents.append(intent)
+        lower_covers.append(
+            [node_of(y, f"a lower cover of extent {i}") for y in lower]
+        )
 
-    meet = full
-    for col in columns:
-        meet &= col
     edge_anchors = tuple(node_of(col, "an edge column") for col in columns)
+    node_of((1 << nv) - 1, "the full vertex set")  # the top is a node
 
     return ConceptLattice(
         hypergraph=reduced,
@@ -419,9 +398,7 @@ def lattice_from_neighbours(
             Concept(BitVec(nv, e), BitVec(ne, b))
             for e, b in zip(extents, intents)
         ),
-        cover_masks=tuple(cover_masks),
-        top_index=node_of(full, "the full vertex set"),
-        bottom_index=node_of(meet, "the AND of all edge columns"),
+        lower_covers=lower_covers,
         edge_anchors=edge_anchors,
         edge_aliases=edge_aliases,
     )
@@ -542,6 +519,7 @@ def verify_isomorphism(lat: ConceptLattice, concepts) -> IsomorphismResult:
 def galois_labels(lat: ConceptLattice) -> list[GaloisLabel]:
     """Per-node name-level labels, including the edges each node introduces."""
     h = lat.hypergraph
+    anchored = lat.anchored_edges
     out = []
     for i, c in enumerate(lat.nodes):
         out.append(
@@ -549,7 +527,9 @@ def galois_labels(lat: ConceptLattice) -> list[GaloisLabel]:
                 node=i,
                 extent_names=h.vertex_names_of(c.extent),
                 intent_names=h.edge_names_of(c.intent),
-                introduced_edges=h.edge_names_of(lat.introduced[i]),
+                introduced_edges=tuple(
+                    h.edge_names[j] for j in anchored.get(i, ())
+                ),
             )
         )
     return out

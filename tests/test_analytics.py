@@ -8,6 +8,7 @@ import pytest
 from conftest import random_dedup_hypergraph
 from hglattice import (
     NoSPathError,
+    analytics,
     build_lattice_naive,
     build_lattice_vectorized,
     chung_lu_hypergraph,
@@ -266,7 +267,7 @@ def reference_components(lat, view):
         stack, reps = [start], set()
         while stack:
             n = stack.pop()
-            reps.update(lat.introduced[n].indices())
+            reps.update(lat.anchored_edges.get(n, ()))
             for m in view.adjacency[n]:
                 if m not in seen:
                     seen.add(m)
@@ -347,14 +348,22 @@ class TestSharedAdjacency:
                         )
                         assert res.hypergraph_distance == best[0], (seed, s, a, b)
 
-    def test_pruned_endpoint_leaves_adjacency_unbuilt(self, seven_groups):
-        lat = build_lattice_naive(seven_groups)
-        for source, target in (("7", "3"), ("3", "7")):
-            with pytest.raises(NoSPathError):
-                shortest_s_path(lat, 2, source, target)
-        assert "cover_adjacency" not in vars(lat)
-        shortest_s_path(lat, 2, "3", "1")
-        assert "cover_adjacency" in vars(lat)
+    def test_pruned_endpoint_runs_no_search(self, seven_groups_lattice, monkeypatch):
+        class Searched(Exception):
+            pass
+
+        def search(*args):
+            raise Searched
+
+        monkeypatch.setattr(analytics, "_edge_search", search)
+        for source, target, reason in (
+            ("7", "3", "source-pruned"), ("3", "7", "target-pruned")
+        ):
+            with pytest.raises(NoSPathError) as info:
+                shortest_s_path(seven_groups_lattice, 2, source, target)
+            assert info.value.reason == reason
+        with pytest.raises(Searched):
+            shortest_s_path(seven_groups_lattice, 2, "3", "1")
 
     def test_unknown_name_is_checked_before_pruning(self, seven_groups_lattice):
         with pytest.raises(KeyError):

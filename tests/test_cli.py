@@ -288,12 +288,14 @@ class TestBench:
 
         def one_cover_short(h):
             lat = real(h)
-            masks = list(lat.cover_masks)
-            i = next(i for i, mask in enumerate(masks) if mask)
-            masks[i] &= masks[i] - 1
+            offsets, uppers, neighbours = lat.cover_adjacency
+            lower = [
+                list(neighbours[offsets[i]:uppers[i]]) for i in range(len(lat))
+            ]
+            next(row for row in lower if row).pop()
             return ConceptLattice(
-                lat.hypergraph, lat.nodes, tuple(masks), lat.top_index,
-                lat.bottom_index, lat.edge_anchors, lat.edge_aliases,
+                lat.hypergraph, lat.nodes, lower, lat.edge_anchors,
+                lat.edge_aliases,
             )
 
         monkeypatch.setattr(lattice, "build_lattice_vectorized", one_cover_short)

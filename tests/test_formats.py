@@ -67,6 +67,8 @@ TAMPERS = [
     pytest.param(_drop("hypergraph", "edges"), id="no-edges"),
     pytest.param(_put(None, "hypergraph", "edges", 6), id="edge-name-null"),
     pytest.param(_drop("hypergraph", "n_vertices"), id="no-n-vertices"),
+    pytest.param(_put(7.0, "hypergraph", "n_vertices"), id="n-vertices-float"),
+    pytest.param(_put(7.0, "hypergraph", "n_edges"), id="n-edges-float"),
     pytest.param(_put([], "hypergraph", "duplicate_edges"), id="duplicates-array"),
     pytest.param(_put({"x": 1}, "hypergraph", "duplicate_edges"), id="duplicate-int"),
     pytest.param(_put({"x": ["1"]}, "hypergraph", "duplicate_edges"),
@@ -77,6 +79,8 @@ TAMPERS = [
     pytest.param(_put({}, "nodes"), id="nodes-object"),
     pytest.param(_put("node", "nodes", 1), id="node-string"),
     pytest.param(_drop("nodes", 1, "id"), id="no-node-id"),
+    pytest.param(_put(True, "nodes", 1, "id"), id="id-bool"),
+    pytest.param(_put(0.0, "nodes", 0, "id"), id="id-float"),
     pytest.param(_drop("nodes", 1, "extent"), id="no-extent"),
     pytest.param(_put("a", "nodes", 1, "extent"), id="extent-string"),
     pytest.param(_put([5], "nodes", 1, "extent"), id="extent-name-int"),
@@ -375,6 +379,28 @@ class TestLatticeDocument:
         doc = json.loads(serialize_lattice(seven_groups_lattice))
         mutate(doc)
         with pytest.raises(ParseError):
+            parse_lattice_document(json.dumps(doc))
+
+    @pytest.mark.parametrize("key", ["n_vertices", "n_edges"])
+    def test_bool_count_rejected(self, key):
+        # One vertex and one edge, so a JSON true equals the count.
+        doc = json.loads(serialize_lattice(
+            build_lattice_naive(from_edge_list([("1", ["a"])]))
+        ))
+        assert doc["hypergraph"][key] == 1
+        doc["hypergraph"][key] = True
+        with pytest.raises(ParseError, match="not an integer"):
+            parse_lattice_document(json.dumps(doc))
+
+    def test_missing_full_vertex_set_rejected(self, seven_groups_lattice):
+        # Without the top node 12 the other twelve nodes, their covers and
+        # top 11 agree with one another; only the full vertex set is missing.
+        doc = json.loads(serialize_lattice(seven_groups_lattice))
+        assert doc["nodes"][12]["extent"] == list("abcdefg")
+        del doc["nodes"][12]
+        doc["covers"] = [pair for pair in doc["covers"] if 12 not in pair]
+        doc["top"] = 11
+        with pytest.raises(ParseError, match="full vertex set"):
             parse_lattice_document(json.dumps(doc))
 
     @given(data=st.data())

@@ -17,7 +17,6 @@ from hglattice import (
     uniform_hypergraph,
     verify_isomorphism,
 )
-from hglattice.core import iter_bits
 
 
 def name_pairs(lat):
@@ -141,20 +140,27 @@ class TestConceptOracle:
             enumerate_concepts_oracle(h)
 
 
+def lower_covers(lat: ConceptLattice, i: int):
+    offsets, uppers, neighbours = lat.cover_adjacency
+    return neighbours[offsets[i]:uppers[i]]
+
+
+def upper_covers(lat: ConceptLattice, i: int):
+    offsets, uppers, neighbours = lat.cover_adjacency
+    return neighbours[uppers[i]:offsets[i + 1]]
+
+
 def drop_node(lat: ConceptLattice, victim: int) -> ConceptLattice:
     """Build a structurally consistent lattice object missing one node."""
     keep = [i for i in range(len(lat.nodes)) if i != victim]
     remap = {old: new for new, old in enumerate(keep)}
-
-    def shrink(mask):
-        return sum(1 << remap[j] for j in iter_bits(mask) if j != victim)
-
     return ConceptLattice(
         hypergraph=lat.hypergraph,
         nodes=tuple(lat.nodes[i] for i in keep),
-        cover_masks=tuple(shrink(lat.cover_masks[i]) for i in keep),
-        top_index=remap[lat.top_index],
-        bottom_index=remap[lat.bottom_index],
+        lower_covers=[
+            [remap[j] for j in lower_covers(lat, i) if j != victim]
+            for i in keep
+        ],
         edge_anchors=tuple(remap[a] for a in lat.edge_anchors),
     )
 
@@ -213,11 +219,11 @@ class TestGaloisLabels:
             lat = build_lattice_naive(h)
             seen = []
             for i in range(len(lat)):
-                seen.extend(lat.introduced[i].indices())
+                seen.extend(lat.anchored_edges.get(i, ()))
             assert sorted(seen) == list(range(h.n_edges))
             for j in range(h.n_edges):
                 anchor = lat.edge_anchors[j]
-                assert j in lat.introduced[anchor]
+                assert j in lat.anchored_edges[anchor]
 
     def test_introduced_matches_cover_difference(self, seven_groups):
         # A node introduces the edges in its intent and in no upper cover's.
@@ -226,13 +232,14 @@ class TestGaloisLabels:
             for lat in (build_lattice_naive(h), build_lattice_vectorized(h)):
                 for i in range(len(lat)):
                     union = 0
-                    for j in iter_bits(lat.cover_masks[i]):
+                    for j in upper_covers(lat, i):
                         union |= lat.nodes[j].intent.bits
                     expected = lat.nodes[i].intent.bits & ~union
                     # symmetric difference equals plain difference here because
                     # upper-cover intents are subsets of the node's intent
                     assert union ^ (union | lat.nodes[i].intent.bits) == expected
-                    assert lat.introduced[i].bits == expected
+                    introduced = sum(1 << j for j in lat.anchored_edges.get(i, ()))
+                    assert introduced == expected
 
 
 class TestAnchors:
@@ -289,19 +296,39 @@ class TestLatticeLaws:
                 for i in range(n)
             ]
             # transitive closure of covers equals strict containment
-            reach = [set(iter_bits(mask)) for mask in lat.cover_masks]
+            reach = [set(upper_covers(lat, i)) for i in range(n)]
             for i in range(n - 1, -1, -1):
                 for j in list(reach[i]):
                     reach[i] |= reach[j]
             assert reach == above
             # and no cover edge is implied by two shorter ones
             for i in range(n):
-                for j in iter_bits(lat.cover_masks[i]):
+                for j in upper_covers(lat, i):
                     assert not any(j in above[k] for k in above[i])
 
     def test_order_is_reflexive(self, seven_groups_lattice):
         for i in range(len(seven_groups_lattice)):
             assert (i, i) in seven_groups_lattice.order
+
+    @pytest.mark.parametrize("builder", [build_lattice_naive, build_lattice_vectorized])
+    def test_canonical_order_puts_bottom_first_and_top_last(self, builder):
+        cases = [random_dedup_hypergraph(seed) for seed in range(60)] + [
+            from_edge_list([]),
+            from_edge_list([("1", [])]),
+            from_edge_list([("1", ["a", "b"]), ("2", ["a"]), ("3", ["b"])]),
+        ]
+        for h in cases:
+            lat = builder(h)
+            assert lat.top_index == len(lat) - 1
+            assert lat.bottom_index == 0
+            full = meet = (1 << h.n_vertices) - 1
+            for col in h.chi.columns:
+                meet &= col
+            assert lat.nodes[lat.top_index].extent.bits == full
+            assert lat.nodes[lat.bottom_index].extent.bits == meet
+            for i in range(len(lat)):
+                assert (i, lat.top_index) in lat.order
+                assert (lat.bottom_index, i) in lat.order
 
     def test_top_and_bottom(self, seven_groups_lattice):
         lat = seven_groups_lattice
