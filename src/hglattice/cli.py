@@ -1,8 +1,8 @@
 """Command line interface.
 
 Commands: build, path, components, stats, gen, bench. Exit codes: 0 on
-success, 1 for input parse failures, 2 for verification mismatches, 3 when
-no s-path exists.
+success, 1 for input that cannot be read or parsed and output that cannot
+be written, 2 for verification mismatches, 3 when no s-path exists.
 """
 
 from __future__ import annotations
@@ -44,7 +44,7 @@ def _read_input(path: str, fmt: str) -> tuple[str, str]:
     """The input's format, sniffed when ``fmt`` is ``auto``, and its text."""
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CommandError(f"cannot read {path}: {exc}", EXIT_PARSE)
     return (_sniff_format(path, text) if fmt == "auto" else fmt), text
 
@@ -76,7 +76,10 @@ def _load_lattice(path: str, fmt: str):
 
 def _emit(text: str, output: str | None):
     if output:
-        Path(output).write_text(text, encoding="utf-8")
+        try:
+            Path(output).write_text(text, encoding="utf-8")
+        except OSError as exc:
+            raise CommandError(f"cannot write {output}: {exc}", EXIT_PARSE)
     else:
         sys.stdout.write(text)
 

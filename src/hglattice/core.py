@@ -139,6 +139,16 @@ class IncidenceMatrix:
     def column(self, edge: int) -> BitVec:
         return BitVec(self.n_vertices, self.columns[edge])
 
+    @cached_property
+    def rows(self) -> tuple[int, ...]:
+        """Row-major view: bit j of ``rows[k]`` is set when vertex k belongs
+        to hyperedge j."""
+        rows = [0] * self.n_vertices
+        for j, col in enumerate(self.columns):
+            for k in iter_bits(col):
+                rows[k] |= 1 << j
+        return tuple(rows)
+
 
 @dataclass(frozen=True)
 class Hypergraph:

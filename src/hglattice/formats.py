@@ -205,7 +205,11 @@ def document_to_lattice(doc: dict) -> ConceptLattice:
     covers are then recomputed by the builder's per-node rule
     (``concept_neighbours``), top and bottom follow from the canonical
     order, and the stored ones must agree, so a tampered document fails
-    instead of producing an inconsistent lattice.
+    instead of producing an inconsistent lattice. The rule runs from the
+    last node to the first, and each node starts from the distinct meets
+    of the latest node whose computed lower covers hold it, else from the
+    columns. Such a node is a true superset whatever the document says, so
+    a tampered order only costs speed.
     """
     _require(isinstance(doc, dict), "document must be a JSON object")
     _require(doc.get("format") == DOCUMENT_FORMAT,
@@ -261,8 +265,16 @@ def document_to_lattice(doc: dict) -> ConceptLattice:
         _require(dup not in eidx, f"duplicate edge {dup!r} is also an edge")
         aliases[dup] = eidx[rep]
 
-    full = (1 << nv) - 1
-    neighbours = {x: concept_neighbours(x, columns, full) for x in extents}
+    # Canonical order puts supersets later, so the latest node to list an
+    # extent among its computed lower covers is its smallest such parent.
+    neighbours = {}
+    inherited: dict[int, set[int]] = {}
+    for x in reversed(extents):
+        neighbours[x], meets = concept_neighbours(
+            x, inherited.pop(x, columns), h.chi
+        )
+        for y in neighbours[x][2]:
+            inherited[y] = meets
     try:
         lat = lattice_from_neighbours(h, neighbours, edge_aliases=aliases)
     except ExtentFamilyError as exc:

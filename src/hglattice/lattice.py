@@ -6,20 +6,24 @@ containment this family is a lattice: meets exist because the extent family
 is intersection closed.
 
 Two builders produce the same lattice object, both over plain Python ints.
-The production builder closes each extent it finds against the edge
-columns only, since every intersection of columns is reached one column
-at a time: the closure step of Close-by-One / Norris-style algorithms
-(Kuznetsov & Obiedkov, JETAI 14, 2002). That one pass over the columns
-also gives the node's intent and its lower covers, the maximal sets among
-X & c for the columns c that do not contain X (the dual of Lindig's
-neighbour step, "Fast Concept Analysis", 2000). The builder walks down
-from the top along these lower covers, and the document loader checks
-stored intents and covers with the same per-node rule. The naive builder
-intersects new extents with all known ones and derives covers from
-per-pair subset tests plus transitive reduction; it is kept as the
-independent reference. Their outputs are canonically ordered and must
-compare equal byte for byte; the test suite enforces that, plus agreement
-with an independent powerset enumeration of the concepts.
+The production builder walks down from the top along lower covers, one
+per-node rule at a time. The rule closes an extent X against the edge
+columns, since every intersection of columns is reached one column at a
+time: the closure step of Close-by-One / Norris-style algorithms
+(Kuznetsov & Obiedkov, JETAI 14, 2002). Its lower covers are the maximal
+sets among the meets X & c other than X (the dual of Lindig's neighbour
+step, "Fast Concept Analysis", 2000). The rule needs no pass over every
+column: for Y inside X, Y & c == Y & (X & c), so a node's distinct meets
+come from those of any superset, the columns themselves only at the top.
+Its intent is the AND of its vertices' incidence rows. The builder feeds
+each node the meets of the node that found it, and the document loader
+checks stored intents and covers with the same rule, feeding each node the
+meets of its smallest computed upper cover. The naive builder intersects
+new extents with all known ones and derives covers from per-pair subset
+tests plus transitive reduction; it is kept as the independent reference.
+Their outputs are canonically ordered and must compare equal byte for
+byte; the test suite enforces that, plus agreement with an independent
+powerset enumeration of the concepts.
 """
 
 from __future__ import annotations
@@ -35,6 +39,7 @@ from .core import (
     BitVec,
     EdgeSet,
     Hypergraph,
+    IncidenceMatrix,
     SizeLimitError,
     VertexSet,
     dedup_edges,
@@ -313,33 +318,45 @@ class ExtentFamilyError(ValueError):
 Neighbours = tuple[int, int, list[int]]
 
 
-def concept_neighbours(extent: int, columns: Sequence[int], full: int) -> Neighbours:
-    """Intent, closure and lower covers of one extent, from one pass over
-    the edge columns.
+def concept_neighbours(
+    extent: int, meets: Iterable[int], chi: IncidenceMatrix
+) -> tuple[Neighbours, set[int]]:
+    """Intent, closure and lower covers of one extent, and its meets.
 
-    The intent holds the columns that contain ``extent`` (as edge bits) and
-    the closure is their AND (``full`` when there are none). The lower
-    covers are the maximal sets among ``extent & c`` for the columns c that
-    do not contain ``extent``: a strictly smaller extent is an intersection
-    of columns, one of which misses a vertex of ``extent``, so it lies
-    below one of these candidates.
+    ``meets`` holds the distinct meets X & c of some superset X of
+    ``extent`` over the edge columns c, with or without X itself; the full
+    vertex set passes the columns themselves. Since
+    ``extent & (X & c) == extent & c``, ANDing ``extent`` with each gives
+    its own distinct meets. Those other than ``extent`` are returned, so
+    that the extents below it can start from them in turn.
+
+    The intent holds the edges that contain ``extent``: the AND of the
+    incidence rows of its vertices (all edges for the empty set). The
+    closure is the AND of the intent's columns (all vertices when there
+    are none). The lower covers are the maximal meets other than
+    ``extent`` itself: a strictly smaller extent is an intersection of
+    columns, one of which misses a vertex of ``extent``, so it lies below
+    one of these meets.
     """
-    meets = [extent & col for col in columns]
-    intent = 0
-    closed = full
-    for j, meet in enumerate(meets):
-        if meet == extent:
-            intent |= 1 << j
-            closed &= columns[j]
-    candidates = set(meets)
-    candidates.discard(extent)
+    own = {extent & m for m in meets}
+    own.discard(extent)
+    rows, columns = chi.rows, chi.columns
+    intent = (1 << chi.n_edges) - 1
+    for k in iter_bits(extent):
+        intent &= rows[k]
+    closed = (1 << chi.n_vertices) - 1
+    for j in iter_bits(intent):
+        closed &= columns[j]
     lower: list[int] = []
     # A strict superset has more bits, so it is seen (or one above it kept)
     # before the sets it contains.
-    for y in sorted(candidates, key=int.bit_count, reverse=True):
-        if all(y & z != y for z in lower):
+    for y in sorted(own, key=int.bit_count, reverse=True):
+        for z in lower:
+            if y & z == y:
+                break
+        else:
             lower.append(y)
-    return intent, closed, lower
+    return (intent, closed, lower), own
 
 
 def lattice_from_neighbours(
@@ -352,8 +369,10 @@ def lattice_from_neighbours(
 
     Nodes take the canonical order of the extents, and each node's lower
     covers are its extent's ``concept_neighbours`` lower covers, mapped to
-    node indices, so no pairwise containment test is made. Each edge is
-    anchored at the node whose extent equals its column.
+    node indices, so no pairwise containment test is made. Which
+    superset's meets each rule started from does not matter: any true
+    superset gives the same neighbours. Each edge is anchored at the node
+    whose extent equals its column.
 
     Raises ExtentFamilyError when the extents are not that family: an
     extent that is not the AND of its intent's columns, or a lower cover,
@@ -407,24 +426,28 @@ def lattice_from_neighbours(
 def build_lattice_vectorized(h: Hypergraph) -> ConceptLattice:
     """Column-closure builder; output is identical to the naive builder.
 
-    Starts from the full vertex set as top and closes each extent it finds
-    against the edge columns only (``concept_neighbours``), going on to the
-    lower covers that pass finds. Every extent lies on a chain of lower
-    covers down from the top, so this reaches the whole family and
-    intersects each extent with each column exactly once. The covers and
-    anchors then come from ``lattice_from_neighbours``. The name
-    is kept for ``--algorithm vectorized`` and the ``bench`` output.
+    Starts from the full vertex set as top, whose rule
+    (``concept_neighbours``) takes the edge columns, and goes on depth
+    first to the lower covers each rule finds. A node's rule runs once,
+    when it is first found, from the distinct meets of the node just
+    popped, its superset; those meets are dropped once the node itself is
+    popped. Every extent lies on a chain of lower covers down from the
+    top, so this reaches the whole family. The covers and anchors then
+    come from ``lattice_from_neighbours``. The name is kept for
+    ``--algorithm vectorized`` and the ``bench`` output.
     """
     reduced, edge_aliases = _prepare(h)
-    columns = reduced.chi.columns
+    chi = reduced.chi
     full = (1 << reduced.n_vertices) - 1
-    found = {full: concept_neighbours(full, columns, full)}
-    stack = [full]
+    top, meets = concept_neighbours(full, chi.columns, chi)
+    found = {full: top}
+    stack = [(full, meets)]
     while stack:
-        for y in found[stack.pop()][2]:
+        x, meets = stack.pop()
+        for y in found[x][2]:
             if y not in found:
-                found[y] = concept_neighbours(y, columns, full)
-                stack.append(y)
+                found[y], own = concept_neighbours(y, meets, chi)
+                stack.append((y, own))
     return lattice_from_neighbours(reduced, found, edge_aliases)
 
 

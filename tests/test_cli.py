@@ -75,6 +75,23 @@ class TestBuild:
         code, _, err = run(capsys, "build", "/nonexistent/input.csv")
         assert code == 1
 
+    def test_non_utf8_input_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "latin1.edges"
+        path.write_bytes("e1: caf\u00e9\n".encode("latin-1"))
+        code, out, err = run(capsys, "build", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot read {path}: ")
+        assert err.count("\n") == 1
+
+    def test_unwritable_output_exit_1(self, capsys, groups_csv, tmp_path):
+        target = tmp_path / "missing" / "lat.json"
+        code, out, err = run(capsys, "build", groups_csv, "-o", str(target))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1
+
     def test_duplicate_columns_warn_on_one_line(self, capsys, tmp_path):
         path = tmp_path / "dup.edges"
         path.write_text("x: a, b\ny: a, b\nz: b, c\n")
@@ -209,6 +226,14 @@ class TestStats:
         assert code == 1
         assert out == ""
         assert err.startswith("error: ") and "'hypergraph'" in err
+
+    def test_non_utf8_document_exit_1(self, capsys, tmp_path):
+        path = tmp_path / "lat.json"
+        path.write_bytes(b'{"format": "hg-lattice/1", "\xff": 0}\n')
+        code, out, err = run(capsys, "stats", str(path))
+        assert code == 1
+        assert out == ""
+        assert err.startswith(f"error: cannot read {path}: ")
 
     @pytest.mark.filterwarnings("ignore:hypergraph has duplicate")
     def test_deterministic_on_generated_input(self, capsys, tmp_path):

@@ -374,6 +374,14 @@ class TestLatticeDocument:
         with pytest.raises(ParseError, match="canonical order"):
             parse_lattice_document(over_extents(text, extents))
 
+    def test_reversed_node_order_rejected(self, seven_groups_lattice):
+        # The loader walks the stored nodes from last to first; reversed,
+        # every node falls back to the columns and the order check fails.
+        text = serialize_lattice(seven_groups_lattice)
+        extents = node_extents(text)[::-1]
+        with pytest.raises(ParseError, match="canonical order"):
+            parse_lattice_document(over_extents(text, extents))
+
     @pytest.mark.parametrize("mutate", TAMPERS)
     def test_malformed_field_rejected(self, seven_groups_lattice, mutate):
         doc = json.loads(serialize_lattice(seven_groups_lattice))

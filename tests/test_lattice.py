@@ -1,6 +1,8 @@
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import SEVEN_GROUPS_CONCEPTS, random_dedup_hypergraph
 from hglattice import (
@@ -9,14 +11,18 @@ from hglattice import (
     build_lattice_naive,
     build_lattice_vectorized,
     chung_lu_hypergraph,
+    depth_histograms,
     edge_anchor,
     enumerate_concepts_oracle,
     from_edge_list,
     galois_labels,
+    parse_lattice_document,
     serialize_lattice,
     uniform_hypergraph,
     verify_isomorphism,
 )
+from hglattice.core import Hypergraph, IncidenceMatrix, dedup_edges
+from hglattice.lattice import concept_neighbours
 
 
 def name_pairs(lat):
@@ -114,6 +120,54 @@ class TestVectorizedBuilder:
             vect = build_lattice_vectorized(h)
             assert naive == vect, f"builders disagree on {name}"
             assert serialize_lattice(naive) == serialize_lattice(vect)
+
+
+@st.composite
+def small_hypergraphs(draw):
+    nv = draw(st.integers(0, 7))
+    columns = draw(st.lists(st.integers(0, (1 << nv) - 1), max_size=7))
+    h = Hypergraph(
+        tuple(f"v{k}" for k in range(nv)),
+        tuple(f"e{j}" for j in range(len(columns))),
+        IncidenceMatrix(nv, len(columns), tuple(columns)),
+    )
+    return dedup_edges(h)[0]
+
+
+class TestNeighbourRule:
+    @given(h=small_hypergraphs(), data=st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_superset_meets_give_the_column_answer(self, h, data):
+        chi = h.chi
+        extents = [c.extent.bits for c in build_lattice_naive(h).nodes]
+        x = data.draw(st.sampled_from(extents), label="x")
+        y = data.draw(
+            st.sampled_from([e for e in extents if e & x == e]), label="y"
+        )
+        _, x_meets = concept_neighbours(x, chi.columns, chi)
+        (intent, closed, lower), meets = concept_neighbours(y, x_meets, chi)
+        (intent0, closed0, lower0), meets0 = concept_neighbours(
+            y, chi.columns, chi
+        )
+        assert (intent, closed, meets) == (intent0, closed0, meets0)
+        assert sorted(lower) == sorted(lower0)
+        # and the column answer is the concept's
+        assert closed == y
+        assert intent == sum(
+            1 << j for j, col in enumerate(chi.columns) if y & col == y
+        )
+
+    @pytest.mark.filterwarnings("ignore:hypergraph has duplicate")
+    def test_deep_chung_lu_lattice(self):
+        # Eleven levels of lower covers, so meets pass down long chains.
+        h = chung_lu_hypergraph(400, 200, exponent=2.2, seed=2)
+        vect = build_lattice_vectorized(h)
+        assert max(depth_histograms(vect).max_to_top) >= 10
+        assert build_lattice_naive(h) == vect
+        text = serialize_lattice(vect)
+        again = parse_lattice_document(text)
+        assert again == vect
+        assert serialize_lattice(again) == text
 
 
 class TestConceptOracle:
