@@ -43,26 +43,6 @@ class PrunedLatticeView:
     retained: frozenset[int]
     adjacency: dict[int, tuple[int, ...]] = field(compare=False)
 
-    def components(self) -> list[tuple[int, ...]]:
-        """Connected node groups, each sorted, ordered by smallest member."""
-        seen = set()
-        out = []
-        for start in sorted(self.retained):
-            if start in seen:
-                continue
-            comp = [start]
-            seen.add(start)
-            stack = [start]
-            while stack:
-                n = stack.pop()
-                for m in self.adjacency[n]:
-                    if m not in seen:
-                        seen.add(m)
-                        comp.append(m)
-                        stack.append(m)
-            out.append(tuple(sorted(comp)))
-        return out
-
 
 @dataclass(frozen=True)
 class SPathResult:

@@ -13,18 +13,14 @@ import io
 import json
 
 from .core import (
+    BitVec,
     Hypergraph,
     IncidenceMatrix,
     IngestionError,
     from_edge_list,
     iter_bits,
 )
-from .lattice import (
-    ConceptLattice,
-    ExtentFamilyError,
-    concept_neighbours,
-    lattice_from_neighbours,
-)
+from .lattice import ConceptLattice, walk_lattice
 
 
 class ParseError(ValueError):
@@ -197,19 +193,32 @@ def _bits_of(rec: dict, key: str, index: dict[str, int], where: str) -> int:
     return bits
 
 
+def _extent_mismatch(h: Hypergraph, stored: list[int], built: list[int]) -> str:
+    """Why a document's node extents are not the extent family ``built``
+    of its edge columns; ``built`` is in canonical order, so it ends with
+    the full vertex set."""
+    family = set(built)
+    for i, x in enumerate(stored):
+        if x not in family:
+            return f"extent {i} is not the AND of its intent's columns"
+    missing = family.difference(stored)
+    if built[-1] in missing:
+        return "the full vertex set is not a node extent"
+    if missing:
+        first = next(x for x in built if x in missing)
+        names = ",".join(h.vertex_names_of(BitVec(h.n_vertices, first)))
+        return f"the column intersection {{{names}}} is not a node extent"
+    return "node extents must be distinct and in canonical order"
+
+
 def document_to_lattice(doc: dict) -> ConceptLattice:
     """Rebuild the canonical lattice from its document form.
 
-    Every field is type-checked. Extents are taken from the node records
-    and edge columns from the nodes that introduce them; intents and
-    covers are then recomputed by the builder's per-node rule
-    (``concept_neighbours``), top and bottom follow from the canonical
-    order, and the stored ones must agree, so a tampered document fails
-    instead of producing an inconsistent lattice. The rule runs from the
-    last node to the first, and each node starts from the distinct meets
-    of the latest node whose computed lower covers hold it, else from the
-    columns. Such a node is a true superset whatever the document says, so
-    a tampered order only costs speed.
+    Every field is type-checked. Edge columns are taken from the nodes
+    that introduce them, and the builder's walk (``walk_lattice``) rebuilds
+    the one lattice those columns determine. The stored extents, intents,
+    covers, top and bottom must then agree with it, in that order, so a
+    tampered document fails instead of producing an inconsistent lattice.
     """
     _require(isinstance(doc, dict), "document must be a JSON object")
     _require(doc.get("format") == DOCUMENT_FORMAT,
@@ -265,22 +274,10 @@ def document_to_lattice(doc: dict) -> ConceptLattice:
         _require(dup not in eidx, f"duplicate edge {dup!r} is also an edge")
         aliases[dup] = eidx[rep]
 
-    # Canonical order puts supersets later, so the latest node to list an
-    # extent among its computed lower covers is its smallest such parent.
-    neighbours = {}
-    inherited: dict[int, set[int]] = {}
-    for x in reversed(extents):
-        neighbours[x], meets = concept_neighbours(
-            x, inherited.pop(x, columns), h.chi
-        )
-        for y in neighbours[x][2]:
-            inherited[y] = meets
-    try:
-        lat = lattice_from_neighbours(h, neighbours, edge_aliases=aliases)
-    except ExtentFamilyError as exc:
-        raise ParseError(str(exc)) from exc
-    _require([node.extent.bits for node in lat.nodes] == extents,
-             "node extents must be distinct and in canonical order")
+    lat = walk_lattice(h, aliases)
+    built = [node.extent.bits for node in lat.nodes]
+    if built != extents:
+        raise ParseError(_extent_mismatch(h, extents, built))
     for i, node in enumerate(lat.nodes):
         _require(node.intent.bits == intents[i],
                  f"node {i}: stored intent disagrees with edge columns")

@@ -31,7 +31,7 @@ def chung_lu_hypergraph(
     """
     if n_vertices < 0 or n_edges < 0:
         raise ValueError("sizes must be non-negative")
-    if exponent <= 1.0:
+    if not exponent > 1.0:  # written so that NaN fails too
         raise ValueError("power-law exponent must exceed 1")
     rng = random.Random(seed)
     vertex_w = _power_law_weights(n_vertices, exponent, rng)

@@ -7,23 +7,21 @@ is intersection closed.
 
 Two builders produce the same lattice object, both over plain Python ints.
 The production builder walks down from the top along lower covers, one
-per-node rule at a time. The rule closes an extent X against the edge
-columns, since every intersection of columns is reached one column at a
-time: the closure step of Close-by-One / Norris-style algorithms
-(Kuznetsov & Obiedkov, JETAI 14, 2002). Its lower covers are the maximal
-sets among the meets X & c other than X (the dual of Lindig's neighbour
-step, "Fast Concept Analysis", 2000). The rule needs no pass over every
+per-node rule at a time. The lower covers of an extent X are the maximal
+sets among the meets X & c with the edge columns c, other than X (the dual
+of Lindig's neighbour step, "Fast Concept Analysis", 2000; see also
+Kuznetsov & Obiedkov, JETAI 14, 2002). The rule needs no pass over every
 column: for Y inside X, Y & c == Y & (X & c), so a node's distinct meets
 come from those of any superset, the columns themselves only at the top.
-Its intent is the AND of its vertices' incidence rows. The builder feeds
-each node the meets of the node that found it, and the document loader
-checks stored intents and covers with the same rule, feeding each node the
-meets of its smallest computed upper cover. The naive builder intersects
-new extents with all known ones and derives covers from per-pair subset
-tests plus transitive reduction; it is kept as the independent reference.
-Their outputs are canonically ordered and must compare equal byte for
-byte; the test suite enforces that, plus agreement with an independent
-powerset enumeration of the concepts.
+Its intent is the AND of its vertices' incidence rows. The walk feeds each
+node the meets of the node that found it. The document loader runs the
+same walk over the edge columns a document records and compares the
+document with its result. The naive builder intersects new extents with
+all known ones and derives covers from per-pair subset tests plus
+transitive reduction; it is kept as the independent reference. Their
+outputs are canonically ordered and must compare equal byte for byte; the
+test suite enforces that, plus agreement with an independent powerset
+enumeration of the concepts.
 """
 
 from __future__ import annotations
@@ -310,18 +308,13 @@ def build_lattice_naive(h: Hypergraph) -> ConceptLattice:
     return _finalize(reduced, edge_aliases, ordered, up_masks)
 
 
-class ExtentFamilyError(ValueError):
-    """A set of extents is not the extent family of the hypergraph's edge
-    columns."""
-
-
-Neighbours = tuple[int, int, list[int]]
+Neighbours = tuple[int, list[int]]
 
 
 def concept_neighbours(
     extent: int, meets: Iterable[int], chi: IncidenceMatrix
 ) -> tuple[Neighbours, set[int]]:
-    """Intent, closure and lower covers of one extent, and its meets.
+    """Intent and lower covers of one extent, and its meets.
 
     ``meets`` holds the distinct meets X & c of some superset X of
     ``extent`` over the edge columns c, with or without X itself; the full
@@ -332,21 +325,16 @@ def concept_neighbours(
 
     The intent holds the edges that contain ``extent``: the AND of the
     incidence rows of its vertices (all edges for the empty set). The
-    closure is the AND of the intent's columns (all vertices when there
-    are none). The lower covers are the maximal meets other than
-    ``extent`` itself: a strictly smaller extent is an intersection of
-    columns, one of which misses a vertex of ``extent``, so it lies below
-    one of these meets.
+    lower covers are the maximal meets other than ``extent`` itself: a
+    strictly smaller extent is an intersection of columns, one of which
+    misses a vertex of ``extent``, so it lies below one of these meets.
     """
     own = {extent & m for m in meets}
     own.discard(extent)
-    rows, columns = chi.rows, chi.columns
+    rows = chi.rows
     intent = (1 << chi.n_edges) - 1
     for k in iter_bits(extent):
         intent &= rows[k]
-    closed = (1 << chi.n_vertices) - 1
-    for j in iter_bits(intent):
-        closed &= columns[j]
     lower: list[int] = []
     # A strict superset has more bits, so it is seen (or one above it kept)
     # before the sets it contains.
@@ -356,75 +344,14 @@ def concept_neighbours(
                 break
         else:
             lower.append(y)
-    return (intent, closed, lower), own
+    return (intent, lower), own
 
 
-def lattice_from_neighbours(
-    reduced: Hypergraph,
-    neighbours: dict[int, Neighbours],
-    edge_aliases: dict[str, int] | None = None,
+def walk_lattice(
+    reduced: Hypergraph, edge_aliases: dict[str, int] | None = None
 ) -> ConceptLattice:
-    """Lattice object of a deduplicated hypergraph from the
-    ``concept_neighbours`` of each extent in its extent family.
-
-    Nodes take the canonical order of the extents, and each node's lower
-    covers are its extent's ``concept_neighbours`` lower covers, mapped to
-    node indices, so no pairwise containment test is made. Which
-    superset's meets each rule started from does not matter: any true
-    superset gives the same neighbours. Each edge is anchored at the node
-    whose extent equals its column.
-
-    Raises ExtentFamilyError when the extents are not that family: an
-    extent that is not the AND of its intent's columns, or a lower cover,
-    a column or the full vertex set that is not one of the extents. These
-    checks pin the family down: every extent is a column intersection or
-    the top, and an intersection of an extent with a column that is
-    missing would be, or lie below, some extent's missing lower cover.
-    The family is then closed under intersection, so the canonical order
-    puts its minimum, the AND of all columns, first and the full vertex
-    set last.
-    """
-    nv, ne = reduced.n_vertices, reduced.n_edges
-    columns = reduced.chi.columns
-    extents = _canonical_order(neighbours)
-    index = {e: i for i, e in enumerate(extents)}
-
-    def node_of(extent: int, what: str) -> int:
-        try:
-            return index[extent]
-        except KeyError:
-            raise ExtentFamilyError(f"{what} is not a node extent") from None
-
-    intents = []
-    lower_covers = []
-    for i, x in enumerate(extents):
-        intent, closed, lower = neighbours[x]
-        if closed != x:
-            raise ExtentFamilyError(
-                f"extent {i} is not the AND of its intent's columns"
-            )
-        intents.append(intent)
-        lower_covers.append(
-            [node_of(y, f"a lower cover of extent {i}") for y in lower]
-        )
-
-    edge_anchors = tuple(node_of(col, "an edge column") for col in columns)
-    node_of((1 << nv) - 1, "the full vertex set")  # the top is a node
-
-    return ConceptLattice(
-        hypergraph=reduced,
-        nodes=tuple(
-            Concept(BitVec(nv, e), BitVec(ne, b))
-            for e, b in zip(extents, intents)
-        ),
-        lower_covers=lower_covers,
-        edge_anchors=edge_anchors,
-        edge_aliases=edge_aliases,
-    )
-
-
-def build_lattice_vectorized(h: Hypergraph) -> ConceptLattice:
-    """Column-closure builder; output is identical to the naive builder.
+    """Lattice object of a deduplicated hypergraph, by one walk down the
+    lower covers.
 
     Starts from the full vertex set as top, whose rule
     (``concept_neighbours``) takes the edge columns, and goes on depth
@@ -432,23 +359,46 @@ def build_lattice_vectorized(h: Hypergraph) -> ConceptLattice:
     when it is first found, from the distinct meets of the node just
     popped, its superset; those meets are dropped once the node itself is
     popped. Every extent lies on a chain of lower covers down from the
-    top, so this reaches the whole family. The covers and anchors then
-    come from ``lattice_from_neighbours``. The name is kept for
-    ``--algorithm vectorized`` and the ``bench`` output.
+    top, so this reaches the whole family and nothing else. Nodes then
+    take the canonical order of the extents, each node's lower covers are
+    its rule's, mapped to node indices, and each edge is anchored at the
+    node whose extent equals its column.
     """
-    reduced, edge_aliases = _prepare(h)
+    nv, ne = reduced.n_vertices, reduced.n_edges
     chi = reduced.chi
-    full = (1 << reduced.n_vertices) - 1
+    full = (1 << nv) - 1
     top, meets = concept_neighbours(full, chi.columns, chi)
     found = {full: top}
     stack = [(full, meets)]
     while stack:
         x, meets = stack.pop()
-        for y in found[x][2]:
+        for y in found[x][1]:
             if y not in found:
                 found[y], own = concept_neighbours(y, meets, chi)
                 stack.append((y, own))
-    return lattice_from_neighbours(reduced, found, edge_aliases)
+
+    extents = _canonical_order(found)
+    index = {e: i for i, e in enumerate(extents)}
+    return ConceptLattice(
+        hypergraph=reduced,
+        nodes=tuple(
+            Concept(BitVec(nv, e), BitVec(ne, found[e][0])) for e in extents
+        ),
+        lower_covers=[[index[y] for y in found[e][1]] for e in extents],
+        edge_anchors=tuple(index[col] for col in chi.columns),
+        edge_aliases=edge_aliases,
+    )
+
+
+def build_lattice_vectorized(h: Hypergraph) -> ConceptLattice:
+    """Column-closure builder; output is identical to the naive builder.
+
+    Deduplicates the edge columns and walks the lattice of the result
+    (``walk_lattice``). The name is kept for ``--algorithm vectorized``
+    and the ``bench`` output.
+    """
+    reduced, edge_aliases = _prepare(h)
+    return walk_lattice(reduced, edge_aliases)
 
 
 def enumerate_concepts_oracle(h: Hypergraph) -> frozenset[Concept]:

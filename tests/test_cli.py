@@ -260,12 +260,13 @@ class TestGen:
         assert out == ""
 
     def test_invalid_exponent(self, capsys):
-        code, _, err = run(
-            capsys, "gen", "--vertices", "5", "--edges", "5",
-            "--power-exponent", "0.5",
-        )
-        assert code == 1
-        assert "exponent" in err
+        for exponent in ("0.5", "nan"):
+            code, _, err = run(
+                capsys, "gen", "--vertices", "5", "--edges", "5",
+                "--power-exponent", exponent,
+            )
+            assert code == 1
+            assert "exponent" in err
 
     def test_chung_lu_degree_tail_is_heavy(self, capsys):
         _, out, _ = run(capsys, "gen", "--vertices", "400", "--edges", "200",

@@ -17,6 +17,7 @@ from hglattice import (
     edge_anchor,
     format_edge_list,
     from_edge_list,
+    lattice,
     lattice_to_dot,
     parse_edge_list,
     parse_incidence_csv,
@@ -366,6 +367,25 @@ class TestLatticeDocument:
         with pytest.raises(ParseError, match="AND of its intent"):
             parse_lattice_document(over_extents(text, extents))
 
+    def test_extra_node_does_not_steer_the_walk(
+        self, seven_groups_lattice, monkeypatch
+    ):
+        # The loader walks the lattice of the edge columns, one rule call
+        # per concept, whatever nodes the document lists.
+        calls = []
+        rule = lattice.concept_neighbours
+
+        def counted(*args):
+            calls.append(args[0])
+            return rule(*args)
+
+        monkeypatch.setattr(lattice, "concept_neighbours", counted)
+        text = serialize_lattice(seven_groups_lattice)
+        extents = sorted(node_extents(text) + [{"c"}], key=canonical_key)
+        with pytest.raises(ParseError):
+            parse_lattice_document(over_extents(text, extents))
+        assert len(calls) == 13
+
     def test_non_canonical_node_order_rejected(self, seven_groups_lattice):
         text = serialize_lattice(seven_groups_lattice)
         extents = node_extents(text)
@@ -375,8 +395,8 @@ class TestLatticeDocument:
             parse_lattice_document(over_extents(text, extents))
 
     def test_reversed_node_order_rejected(self, seven_groups_lattice):
-        # The loader walks the stored nodes from last to first; reversed,
-        # every node falls back to the columns and the order check fails.
+        # Reversed, the nodes still hold the whole extent family, so only
+        # the order check fails.
         text = serialize_lattice(seven_groups_lattice)
         extents = node_extents(text)[::-1]
         with pytest.raises(ParseError, match="canonical order"):
