@@ -20,7 +20,7 @@ from .core import (
     from_edge_list,
     iter_bits,
 )
-from .lattice import ConceptLattice, walk_lattice
+from .lattice import ConceptLattice, assemble_lattice, walk_lattice
 
 
 class ParseError(ValueError):
@@ -193,32 +193,16 @@ def _bits_of(rec: dict, key: str, index: dict[str, int], where: str) -> int:
     return bits
 
 
-def _extent_mismatch(h: Hypergraph, stored: list[int], built: list[int]) -> str:
-    """Why a document's node extents are not the extent family ``built``
-    of its edge columns; ``built`` is in canonical order, so it ends with
-    the full vertex set."""
-    family = set(built)
-    for i, x in enumerate(stored):
-        if x not in family:
-            return f"extent {i} is not the AND of its intent's columns"
-    missing = family.difference(stored)
-    if built[-1] in missing:
-        return "the full vertex set is not a node extent"
-    if missing:
-        first = next(x for x in built if x in missing)
-        names = ",".join(h.vertex_names_of(BitVec(h.n_vertices, first)))
-        return f"the column intersection {{{names}}} is not a node extent"
-    return "node extents must be distinct and in canonical order"
-
-
 def document_to_lattice(doc: dict) -> ConceptLattice:
     """Rebuild the canonical lattice from its document form.
 
     Every field is type-checked. Edge columns are taken from the nodes
     that introduce them, and the builder's walk (``walk_lattice``) rebuilds
-    the one lattice those columns determine. The stored extents, intents,
-    covers, top and bottom must then agree with it, in that order, so a
-    tampered document fails instead of producing an inconsistent lattice.
+    the one lattice those columns determine, stopping at the first extent
+    that is not a stored one, so its work is bounded by the document. The
+    stored extents, intents, covers, top and bottom must then agree with
+    it, in that order, so a tampered document fails instead of producing
+    an inconsistent lattice.
     """
     _require(isinstance(doc, dict), "document must be a JSON object")
     _require(doc.get("format") == DOCUMENT_FORMAT,
@@ -274,10 +258,24 @@ def document_to_lattice(doc: dict) -> ConceptLattice:
         _require(dup not in eidx, f"duplicate edge {dup!r} is also an edge")
         aliases[dup] = eidx[rep]
 
-    lat = walk_lattice(h, aliases)
-    built = [node.extent.bits for node in lat.nodes]
-    if built != extents:
-        raise ParseError(_extent_mismatch(h, extents, built))
+    # The walk stops at the first extent of the family that is not stored,
+    # so a document cannot make it run past its own node count.
+    stored = set(extents)
+    found = {}
+    for y, rule in walk_lattice(h.chi):
+        if y not in stored:
+            if y == (1 << nv) - 1:
+                raise ParseError("the full vertex set is not a node extent")
+            names = ",".join(h.vertex_names_of(BitVec(nv, y)))
+            raise ParseError(
+                f"the column intersection {{{names}}} is not a node extent"
+            )
+        found[y] = rule
+    for i, x in enumerate(extents):
+        _require(x in found, f"extent {i} is not the AND of its intent's columns")
+    lat = assemble_lattice(h, aliases, found)
+    _require([node.extent.bits for node in lat.nodes] == extents,
+             "node extents must be distinct and in canonical order")
     for i, node in enumerate(lat.nodes):
         _require(node.intent.bits == intents[i],
                  f"node {i}: stored intent disagrees with edge columns")

@@ -15,8 +15,9 @@ column: for Y inside X, Y & c == Y & (X & c), so a node's distinct meets
 come from those of any superset, the columns themselves only at the top.
 Its intent is the AND of its vertices' incidence rows. The walk feeds each
 node the meets of the node that found it. The document loader runs the
-same walk over the edge columns a document records and compares the
-document with its result. The naive builder intersects new extents with
+same walk over the edge columns a document records, stopped at the first
+extent the document does not list, and compares the document with its
+result. The naive builder intersects new extents with
 all known ones and derives covers from per-pair subset tests plus
 transitive reduction; it is kept as the independent reference. Their
 outputs are canonically ordered and must compare equal byte for byte; the
@@ -31,7 +32,7 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, combinations
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .core import (
     BitVec,
@@ -347,11 +348,9 @@ def concept_neighbours(
     return (intent, lower), own
 
 
-def walk_lattice(
-    reduced: Hypergraph, edge_aliases: dict[str, int] | None = None
-) -> ConceptLattice:
-    """Lattice object of a deduplicated hypergraph, by one walk down the
-    lower covers.
+def walk_lattice(chi: IncidenceMatrix) -> Iterator[tuple[int, Neighbours]]:
+    """Every extent of the column family with its rule's intent and lower
+    covers, by one walk down the lower covers.
 
     Starts from the full vertex set as top, whose rule
     (``concept_neighbours``) takes the edge columns, and goes on depth
@@ -359,24 +358,37 @@ def walk_lattice(
     when it is first found, from the distinct meets of the node just
     popped, its superset; those meets are dropped once the node itself is
     popped. Every extent lies on a chain of lower covers down from the
-    top, so this reaches the whole family and nothing else. Nodes then
-    take the canonical order of the extents, each node's lower covers are
-    its rule's, mapped to node indices, and each edge is anchored at the
-    node whose extent equals its column.
+    top, so this reaches the whole family and nothing else. Each extent is
+    yielded as it is found, so a caller can stop the walk early.
+    """
+    full = (1 << chi.n_vertices) - 1
+    rule, meets = concept_neighbours(full, chi.columns, chi)
+    yield full, rule
+    seen = {full}
+    stack = [(rule[1], meets)]
+    while stack:
+        lower, meets = stack.pop()
+        for y in lower:
+            if y not in seen:
+                seen.add(y)
+                rule, own = concept_neighbours(y, meets, chi)
+                yield y, rule
+                stack.append((rule[1], own))
+
+
+def assemble_lattice(
+    reduced: Hypergraph,
+    edge_aliases: dict[str, int] | None,
+    found: dict[int, Neighbours],
+) -> ConceptLattice:
+    """Lattice object of a deduplicated hypergraph from its walked extent
+    family (``walk_lattice``).
+
+    Nodes take the canonical order of the extents, each node's lower
+    covers are its rule's, mapped to node indices, and each edge is
+    anchored at the node whose extent equals its column.
     """
     nv, ne = reduced.n_vertices, reduced.n_edges
-    chi = reduced.chi
-    full = (1 << nv) - 1
-    top, meets = concept_neighbours(full, chi.columns, chi)
-    found = {full: top}
-    stack = [(full, meets)]
-    while stack:
-        x, meets = stack.pop()
-        for y in found[x][1]:
-            if y not in found:
-                found[y], own = concept_neighbours(y, meets, chi)
-                stack.append((y, own))
-
     extents = _canonical_order(found)
     index = {e: i for i, e in enumerate(extents)}
     return ConceptLattice(
@@ -385,7 +397,7 @@ def walk_lattice(
             Concept(BitVec(nv, e), BitVec(ne, found[e][0])) for e in extents
         ),
         lower_covers=[[index[y] for y in found[e][1]] for e in extents],
-        edge_anchors=tuple(index[col] for col in chi.columns),
+        edge_anchors=tuple(index[col] for col in reduced.chi.columns),
         edge_aliases=edge_aliases,
     )
 
@@ -393,12 +405,14 @@ def walk_lattice(
 def build_lattice_vectorized(h: Hypergraph) -> ConceptLattice:
     """Column-closure builder; output is identical to the naive builder.
 
-    Deduplicates the edge columns and walks the lattice of the result
-    (``walk_lattice``). The name is kept for ``--algorithm vectorized``
+    Deduplicates the edge columns, walks the extent family of the result
+    (``walk_lattice``) and assembles it (``assemble_lattice``). The name is kept for ``--algorithm vectorized``
     and the ``bench`` output.
     """
     reduced, edge_aliases = _prepare(h)
-    return walk_lattice(reduced, edge_aliases)
+    return assemble_lattice(
+        reduced, edge_aliases, dict(walk_lattice(reduced.chi))
+    )
 
 
 def enumerate_concepts_oracle(h: Hypergraph) -> frozenset[Concept]:

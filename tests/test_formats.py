@@ -190,6 +190,21 @@ def over_extents(text, extents):
     return json.dumps(doc)
 
 
+def count_rule_calls(monkeypatch, limit):
+    """The extents ``lattice.concept_neighbours`` is called on from now on;
+    a call past the first ``limit`` fails the test."""
+    calls = []
+    rule = lattice.concept_neighbours
+
+    def counted(*args):
+        calls.append(args[0])
+        assert len(calls) <= limit, "the lattice walk ran past its bound"
+        return rule(*args)
+
+    monkeypatch.setattr(lattice, "concept_neighbours", counted)
+    return calls
+
+
 def concept_names(lat):
     h = lat.hypergraph
     return {
@@ -372,19 +387,39 @@ class TestLatticeDocument:
     ):
         # The loader walks the lattice of the edge columns, one rule call
         # per concept, whatever nodes the document lists.
-        calls = []
-        rule = lattice.concept_neighbours
-
-        def counted(*args):
-            calls.append(args[0])
-            return rule(*args)
-
-        monkeypatch.setattr(lattice, "concept_neighbours", counted)
+        calls = count_rule_calls(monkeypatch, 13)
         text = serialize_lattice(seven_groups_lattice)
         extents = sorted(node_extents(text) + [{"c"}], key=canonical_key)
         with pytest.raises(ParseError):
             parse_lattice_document(over_extents(text, extents))
         assert len(calls) == 13
+
+    def test_walk_stops_within_the_document(self, monkeypatch):
+        # Thirty columns, each all vertices but one, generate all 2**30
+        # vertex sets. The document lists only the columns and the top, so
+        # the walk stops at the first lower cover of a column: one rule
+        # call per node, and one for the extent that is not a node.
+        n = 30
+        vertices = [f"v{i}" for i in range(n)]
+        edges = [f"e{i}" for i in range(n)]
+        nodes = [
+            {"extent": vertices[:i] + vertices[i + 1:], "intent": [edges[i]],
+             "introduces": [edges[i]]}
+            for i in range(n)
+        ] + [{"extent": vertices, "intent": [], "introduces": []}]
+        doc = {
+            "format": "hg-lattice/1",
+            "hypergraph": {"vertices": vertices, "edges": edges,
+                           "n_vertices": n, "n_edges": n},
+            "nodes": [dict(rec, id=i) for i, rec in enumerate(nodes)],
+            "covers": [[i, n] for i in range(n)],
+            "top": n,
+            "bottom": 0,
+        }
+        calls = count_rule_calls(monkeypatch, len(nodes) + 1)
+        with pytest.raises(ParseError, match="not a node"):
+            parse_lattice_document(json.dumps(doc))
+        assert len(calls) == len(nodes) + 1
 
     def test_non_canonical_node_order_rejected(self, seven_groups_lattice):
         text = serialize_lattice(seven_groups_lattice)
