@@ -406,8 +406,8 @@ def build_lattice_vectorized(h: Hypergraph) -> ConceptLattice:
     """Column-closure builder; output is identical to the naive builder.
 
     Deduplicates the edge columns, walks the extent family of the result
-    (``walk_lattice``) and assembles it (``assemble_lattice``). The name is kept for ``--algorithm vectorized``
-    and the ``bench`` output.
+    (``walk_lattice``) and assembles it (``assemble_lattice``). The name
+    is kept for ``--algorithm vectorized`` and the ``bench`` output.
     """
     reduced, edge_aliases = _prepare(h)
     return assemble_lattice(
