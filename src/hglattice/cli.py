@@ -43,7 +43,7 @@ def _sniff_format(path: str, text: str) -> str:
 def _read_input(path: str, fmt: str) -> tuple[str, str]:
     """The input's format, sniffed when ``fmt`` is ``auto``, and its text."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        text = Path(path).read_text(encoding="utf-8-sig")
     except (OSError, UnicodeDecodeError) as exc:
         raise CommandError(f"cannot read {path}: {exc}", EXIT_PARSE)
     return (_sniff_format(path, text) if fmt == "auto" else fmt), text

@@ -82,8 +82,11 @@ def format_edge_list(h: Hypergraph) -> str:
 def parse_incidence_csv(text: str) -> Hypergraph:
     """Parse an incidence matrix CSV: header row of edge names (first cell
     is the corner and ignored), then one row per vertex with 0/1 cells."""
-    rows = [row for row in csv.reader(io.StringIO(text))]
-    rows = [row for row in rows if any(cell.strip() for cell in row)]
+    reader = csv.reader(io.StringIO(text))
+    try:
+        rows = [row for row in reader if any(cell.strip() for cell in row)]
+    except csv.Error as exc:
+        raise ParseError(f"line {reader.line_num}: {exc}") from exc
     if not rows:
         return from_edge_list([])
     header = rows[0]
@@ -292,7 +295,7 @@ def document_to_lattice(doc: dict) -> ConceptLattice:
 def parse_lattice_document(text: str) -> ConceptLattice:
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     return document_to_lattice(doc)
 

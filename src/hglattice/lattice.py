@@ -17,12 +17,13 @@ Its intent is the AND of its vertices' incidence rows. The walk feeds each
 node the meets of the node that found it. The document loader runs the
 same walk over the edge columns a document records, stopped at the first
 extent the document does not list, and compares the document with its
-result. The naive builder intersects new extents with
-all known ones and derives covers from per-pair subset tests plus
-transitive reduction; it is kept as the independent reference. Their
-outputs are canonically ordered and must compare equal byte for byte; the
-test suite enforces that, plus agreement with an independent powerset
-enumeration of the concepts.
+result. The naive builder is kept as the independent reference: it
+computes its own extents (new extents intersected with all known ones),
+intents (the prime of each extent) and covers (per-pair subset tests plus
+transitive reduction), and hands them to the same assembly step, which
+orders the nodes canonically and anchors the edges. The two builders'
+outputs must compare equal byte for byte; the test suite enforces that,
+plus agreement with an independent powerset enumeration of the concepts.
 """
 
 from __future__ import annotations
@@ -229,55 +230,16 @@ def _prepare(h: Hypergraph) -> tuple[Hypergraph, dict[str, int]]:
     return reduced, {name: mapping[j] for j, name in enumerate(h.edge_names)}
 
 
-def _canonical_order(extents: Iterable[int]) -> list[int]:
-    return sorted(extents, key=lambda e: (e.bit_count(), tuple(iter_bits(e))))
-
-
-def _finalize(
-    reduced: Hypergraph,
-    edge_aliases: dict[str, int],
-    extents: list[int],
-    up_masks: list[int],
-) -> ConceptLattice:
-    """Assemble the naive builder's lattice object from canonically sorted
-    extents and the strict-superset masks; everything else is derived here."""
-    nv, ne = reduced.n_vertices, reduced.n_edges
-
-    intents = [intent_prime(reduced, BitVec(nv, e)).bits for e in extents]
-
-    nodes = tuple(
-        Concept(BitVec(nv, e), BitVec(ne, b)) for e, b in zip(extents, intents)
-    )
-
-    # The upper covers of i are its strict supersets not reachable through
-    # another one, and i is a lower cover of each.
-    lower_covers: list[list[int]] = [[] for _ in extents]
-    for i in range(len(extents)):
-        reachable = 0
-        for k in iter_bits(up_masks[i]):
-            reachable |= up_masks[k]
-        for j in iter_bits(up_masks[i] & ~reachable):
-            lower_covers[j].append(i)
-
-    node_by_extent = {e: i for i, e in enumerate(extents)}
-    edge_anchors = tuple(node_by_extent[col] for col in reduced.chi.columns)
-
-    return ConceptLattice(
-        hypergraph=reduced,
-        nodes=nodes,
-        lower_covers=lower_covers,
-        edge_anchors=edge_anchors,
-        edge_aliases=edge_aliases,
-    )
-
-
 def build_lattice_naive(h: Hypergraph) -> ConceptLattice:
     """Pairwise-intersection fixpoint builder.
 
     Seeds the extent family with the edge columns, repeatedly intersects
     new extents against all known ones until a pass adds nothing, then adds
-    the full vertex set as top. Containment is decided by per-pair subset
-    tests on the backing ints.
+    the full vertex set as top. Each intent is the prime of its extent,
+    and containment is decided by per-pair subset tests on the backing
+    ints; the covers are the transitive reduction of that order. The
+    result goes to the same assembly step as the walk's
+    (``assemble_lattice``).
     """
     reduced, edge_aliases = _prepare(h)
 
@@ -295,18 +257,33 @@ def build_lattice_naive(h: Hypergraph) -> ConceptLattice:
         frontier = fresh
     extents.add((1 << reduced.n_vertices) - 1)
 
-    ordered = _canonical_order(extents)
-    n_nodes = len(ordered)
+    family = list(extents)
+    n_nodes = len(family)
     up_masks = [0] * n_nodes
     for i in range(n_nodes):
-        ei = ordered[i]
+        ei = family[i]
         acc = 0
         for j in range(n_nodes):
-            ej = ordered[j]
+            ej = family[j]
             if i != j and ei & ej == ei:
                 acc |= 1 << j
         up_masks[i] = acc
-    return _finalize(reduced, edge_aliases, ordered, up_masks)
+
+    # The upper covers of i are its strict supersets not reachable through
+    # another one, and i is a lower cover of each.
+    lower_covers: list[list[int]] = [[] for _ in family]
+    for i in range(n_nodes):
+        reachable = 0
+        for k in iter_bits(up_masks[i]):
+            reachable |= up_masks[k]
+        for j in iter_bits(up_masks[i] & ~reachable):
+            lower_covers[j].append(family[i])
+
+    found = {
+        e: (intent_prime(reduced, BitVec(reduced.n_vertices, e)).bits, lower)
+        for e, lower in zip(family, lower_covers)
+    }
+    return assemble_lattice(reduced, edge_aliases, found)
 
 
 Neighbours = tuple[int, list[int]]
@@ -381,15 +358,17 @@ def assemble_lattice(
     edge_aliases: dict[str, int] | None,
     found: dict[int, Neighbours],
 ) -> ConceptLattice:
-    """Lattice object of a deduplicated hypergraph from its walked extent
-    family (``walk_lattice``).
+    """Lattice object of a deduplicated hypergraph from its extent family,
+    each extent mapped to its intent and its lower-cover extents, the form
+    ``walk_lattice`` yields; both builders and the document loader end
+    here.
 
     Nodes take the canonical order of the extents, each node's lower
-    covers are its rule's, mapped to node indices, and each edge is
-    anchored at the node whose extent equals its column.
+    covers are mapped to node indices, and each edge is anchored at the
+    node whose extent equals its column.
     """
     nv, ne = reduced.n_vertices, reduced.n_edges
-    extents = _canonical_order(found)
+    extents = sorted(found, key=lambda e: (e.bit_count(), tuple(iter_bits(e))))
     index = {e: i for i, e in enumerate(extents)}
     return ConceptLattice(
         hypergraph=reduced,

@@ -185,6 +185,17 @@ class TestComponents:
         assert code == 0
         assert json.loads(out) == []
 
+    def test_byte_order_mark_is_ignored(self, capsys, tmp_path):
+        path = tmp_path / "bom.edges"
+        path.write_bytes(b"\xef\xbb\xbfe1: a, b\ne2: b, c\n")
+        code, out, _ = run(capsys, "components", str(path), "--s", "1")
+        assert code == 0
+        assert json.loads(out) == [["e1", "e2"]]
+        code, _, err = run(
+            capsys, "path", str(path), "--s", "1", "--from", "e1", "--to", "e2"
+        )
+        assert code == 0, err
+
 
 class TestStats:
     def test_seven_groups(self, capsys, groups_csv):

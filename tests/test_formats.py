@@ -322,6 +322,11 @@ class TestIncidenceCsvParser:
         h = parse_incidence_csv("")
         assert h.n_vertices == 0 and h.n_edges == 0
 
+    def test_cell_over_the_field_limit(self):
+        text = ",e1\na,0\n" + "b" * 200_000 + ",1\n"
+        with pytest.raises(ParseError, match="line 3: field larger"):
+            parse_incidence_csv(text)
+
 
 class TestLatticeDocument:
     def test_round_trip_seven_groups(self, seven_groups_lattice):
@@ -492,8 +497,10 @@ class TestLatticeDocument:
             parse_lattice_document(json.dumps(doc))
 
     def test_invalid_json(self):
-        with pytest.raises(ParseError, match="JSON"):
-            parse_lattice_document("{not json")
+        # a nesting too deep for the decoder is refused like any bad JSON
+        for text in ("{not json", "[" * 100_000):
+            with pytest.raises(ParseError, match="JSON"):
+                parse_lattice_document(text)
 
     def test_wrong_format_tag(self):
         with pytest.raises(ParseError, match="format"):

@@ -380,6 +380,11 @@ class TestLatticeLaws:
             for i in range(len(lat)):
                 assert (i, lat.top_index) in lat.order
                 assert (lat.bottom_index, i) in lat.order
+            extents = [c.extent.bits for c in lat.nodes]
+            assert extents == sorted(extents, key=lambda e: (
+                bin(e).count("1"),
+                tuple(v for v in range(h.n_vertices) if e >> v & 1),
+            ))
 
     def test_top_and_bottom(self, seven_groups_lattice):
         lat = seven_groups_lattice
