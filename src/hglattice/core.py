@@ -139,16 +139,6 @@ class IncidenceMatrix:
     def column(self, edge: int) -> BitVec:
         return BitVec(self.n_vertices, self.columns[edge])
 
-    @cached_property
-    def rows(self) -> tuple[int, ...]:
-        """Row-major view: bit j of ``rows[k]`` is set when vertex k belongs
-        to hyperedge j."""
-        rows = [0] * self.n_vertices
-        for j, col in enumerate(self.columns):
-            for k in iter_bits(col):
-                rows[k] |= 1 << j
-        return tuple(rows)
-
 
 @dataclass(frozen=True)
 class Hypergraph:
@@ -225,11 +215,7 @@ def from_edge_list(edges: Iterable[tuple[str, Iterable[str]]]) -> Hypergraph:
     vertex_index: dict[str, int] = {}
     edge_names: list[str] = []
     member_lists: list[list[int]] = []
-    seen_edges = set()
     for edge_name, members in edges:
-        if edge_name in seen_edges:
-            raise IngestionError(f"duplicate edge name {edge_name!r}")
-        seen_edges.add(edge_name)
         edge_names.append(edge_name)
         row: list[int] = []
         for v in members:

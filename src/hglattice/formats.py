@@ -81,7 +81,8 @@ def format_edge_list(h: Hypergraph) -> str:
 
 def parse_incidence_csv(text: str) -> Hypergraph:
     """Parse an incidence matrix CSV: header row of edge names (first cell
-    is the corner and ignored), then one row per vertex with 0/1 cells."""
+    is the corner and ignored), then one row per vertex with 0/1 cells.
+    Edge and vertex names must not be blank."""
     reader = csv.reader(io.StringIO(text))
     try:
         rows = [row for row in reader if any(cell.strip() for cell in row)]
@@ -91,6 +92,9 @@ def parse_incidence_csv(text: str) -> Hypergraph:
         return from_edge_list([])
     header = rows[0]
     edge_names = [cell.strip() for cell in header[1:]]
+    for c, name in enumerate(edge_names, start=2):
+        if not name:
+            raise ParseError(f"column {c}: missing edge name")
     n_edges = len(edge_names)
     vertex_names = []
     columns = [0] * n_edges
@@ -99,7 +103,10 @@ def parse_incidence_csv(text: str) -> Hypergraph:
             raise ParseError(
                 f"row {r}: expected {n_edges + 1} cells, got {len(row)}"
             )
-        vertex_names.append(row[0].strip())
+        name = row[0].strip()
+        if not name:
+            raise ParseError(f"row {r}: missing vertex name")
+        vertex_names.append(name)
         for c, cell in enumerate(row[1:], start=2):
             value = cell.strip()
             if value == "1":
@@ -265,7 +272,7 @@ def document_to_lattice(doc: dict) -> ConceptLattice:
     # so a document cannot make it run past its own node count.
     stored = set(extents)
     found = {}
-    for y, rule in walk_lattice(h.chi):
+    for y, lower in walk_lattice(h.chi):
         if y not in stored:
             if y == (1 << nv) - 1:
                 raise ParseError("the full vertex set is not a node extent")
@@ -273,7 +280,7 @@ def document_to_lattice(doc: dict) -> ConceptLattice:
             raise ParseError(
                 f"the column intersection {{{names}}} is not a node extent"
             )
-        found[y] = rule
+        found[y] = lower
     for i, x in enumerate(extents):
         _require(x in found, f"extent {i} is not the AND of its intent's columns")
     lat = assemble_lattice(h, aliases, found)
@@ -293,9 +300,11 @@ def document_to_lattice(doc: dict) -> ConceptLattice:
 
 
 def parse_lattice_document(text: str) -> ConceptLattice:
+    # JSONDecodeError is a ValueError, and so is the int-string limit's
+    # error for an integer of too many digits.
     try:
         doc = json.loads(text)
-    except (json.JSONDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise ParseError(f"invalid JSON: {exc}") from exc
     return document_to_lattice(doc)
 

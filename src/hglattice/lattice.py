@@ -13,17 +13,17 @@ of Lindig's neighbour step, "Fast Concept Analysis", 2000; see also
 Kuznetsov & Obiedkov, JETAI 14, 2002). The rule needs no pass over every
 column: for Y inside X, Y & c == Y & (X & c), so a node's distinct meets
 come from those of any superset, the columns themselves only at the top.
-Its intent is the AND of its vertices' incidence rows. The walk feeds each
-node the meets of the node that found it. The document loader runs the
-same walk over the edge columns a document records, stopped at the first
-extent the document does not list, and compares the document with its
-result. The naive builder is kept as the independent reference: it
-computes its own extents (new extents intersected with all known ones),
-intents (the prime of each extent) and covers (per-pair subset tests plus
-transitive reduction), and hands them to the same assembly step, which
-orders the nodes canonically and anchors the edges. The two builders'
-outputs must compare equal byte for byte; the test suite enforces that,
-plus agreement with an independent powerset enumeration of the concepts.
+The walk feeds each node the meets of the node that found it. The document
+loader runs the same walk over a document's edge columns, stopped at the
+first extent the document lacks, and compares. The naive builder is the
+independent reference for extents (new ones intersected with all known
+ones) and covers (per-pair subset tests plus transitive reduction). All
+three hand extents and lower covers to one assembly step, which orders the
+nodes canonically, anchors the edges and reads the intents off the covers:
+X's intent is the set of edges anchored at X or above it (the reduced
+labels of Ganter & Wille, 1999). The two builders' outputs must compare
+equal byte for byte; the test suite enforces that, plus agreement with an
+independent powerset enumeration of the concepts by the prime operators.
 """
 
 from __future__ import annotations
@@ -235,11 +235,11 @@ def build_lattice_naive(h: Hypergraph) -> ConceptLattice:
 
     Seeds the extent family with the edge columns, repeatedly intersects
     new extents against all known ones until a pass adds nothing, then adds
-    the full vertex set as top. Each intent is the prime of its extent,
-    and containment is decided by per-pair subset tests on the backing
-    ints; the covers are the transitive reduction of that order. The
-    result goes to the same assembly step as the walk's
-    (``assemble_lattice``).
+    the full vertex set as top. Containment is decided by per-pair subset
+    tests on the backing ints; the covers are the transitive reduction of
+    that order. The extents and their lower covers go to the same assembly
+    step as the walk's (``assemble_lattice``), which reads the intents off
+    the covers.
     """
     reduced, edge_aliases = _prepare(h)
 
@@ -279,20 +279,15 @@ def build_lattice_naive(h: Hypergraph) -> ConceptLattice:
         for j in iter_bits(up_masks[i] & ~reachable):
             lower_covers[j].append(family[i])
 
-    found = {
-        e: (intent_prime(reduced, BitVec(reduced.n_vertices, e)).bits, lower)
-        for e, lower in zip(family, lower_covers)
-    }
-    return assemble_lattice(reduced, edge_aliases, found)
-
-
-Neighbours = tuple[int, list[int]]
+    return assemble_lattice(
+        reduced, edge_aliases, dict(zip(family, lower_covers))
+    )
 
 
 def concept_neighbours(
-    extent: int, meets: Iterable[int], chi: IncidenceMatrix
-) -> tuple[Neighbours, set[int]]:
-    """Intent and lower covers of one extent, and its meets.
+    extent: int, meets: Iterable[int]
+) -> tuple[list[int], set[int]]:
+    """Lower covers of one extent, and its meets.
 
     ``meets`` holds the distinct meets X & c of some superset X of
     ``extent`` over the edge columns c, with or without X itself; the full
@@ -301,18 +296,12 @@ def concept_neighbours(
     its own distinct meets. Those other than ``extent`` are returned, so
     that the extents below it can start from them in turn.
 
-    The intent holds the edges that contain ``extent``: the AND of the
-    incidence rows of its vertices (all edges for the empty set). The
-    lower covers are the maximal meets other than ``extent`` itself: a
+    The lower covers are the maximal meets other than ``extent`` itself: a
     strictly smaller extent is an intersection of columns, one of which
     misses a vertex of ``extent``, so it lies below one of these meets.
     """
     own = {extent & m for m in meets}
     own.discard(extent)
-    rows = chi.rows
-    intent = (1 << chi.n_edges) - 1
-    for k in iter_bits(extent):
-        intent &= rows[k]
     lower: list[int] = []
     # A strict superset has more bits, so it is seen (or one above it kept)
     # before the sets it contains.
@@ -322,12 +311,13 @@ def concept_neighbours(
                 break
         else:
             lower.append(y)
-    return (intent, lower), own
+    return lower, own
 
 
-def walk_lattice(chi: IncidenceMatrix) -> Iterator[tuple[int, Neighbours]]:
-    """Every extent of the column family with its rule's intent and lower
-    covers, by one walk down the lower covers.
+def walk_lattice(chi: IncidenceMatrix) -> Iterator[tuple[int, list[int]]]:
+    """Every extent of the column family with its lower covers, by one
+    walk down the lower covers; the intents are left to
+    ``assemble_lattice``.
 
     Starts from the full vertex set as top, whose rule
     (``concept_neighbours``) takes the edge columns, and goes on depth
@@ -339,44 +329,57 @@ def walk_lattice(chi: IncidenceMatrix) -> Iterator[tuple[int, Neighbours]]:
     yielded as it is found, so a caller can stop the walk early.
     """
     full = (1 << chi.n_vertices) - 1
-    rule, meets = concept_neighbours(full, chi.columns, chi)
-    yield full, rule
+    lower, meets = concept_neighbours(full, chi.columns)
+    yield full, lower
     seen = {full}
-    stack = [(rule[1], meets)]
+    stack = [(lower, meets)]
     while stack:
         lower, meets = stack.pop()
         for y in lower:
             if y not in seen:
                 seen.add(y)
-                rule, own = concept_neighbours(y, meets, chi)
-                yield y, rule
-                stack.append((rule[1], own))
+                below, own = concept_neighbours(y, meets)
+                yield y, below
+                stack.append((below, own))
 
 
 def assemble_lattice(
     reduced: Hypergraph,
     edge_aliases: dict[str, int] | None,
-    found: dict[int, Neighbours],
+    found: dict[int, Iterable[int]],
 ) -> ConceptLattice:
     """Lattice object of a deduplicated hypergraph from its extent family,
-    each extent mapped to its intent and its lower-cover extents, the form
+    each extent mapped to its lower-cover extents, the form
     ``walk_lattice`` yields; both builders and the document loader end
-    here.
+    here, and this is the one place intents are computed.
 
     Nodes take the canonical order of the extents, each node's lower
     covers are mapped to node indices, and each edge is anchored at the
-    node whose extent equals its column.
+    node whose extent equals its column. An edge contains an extent
+    exactly when its anchor lies at or above that extent's node, so a
+    node's intent is the union of the edges anchored at it or above it.
     """
     nv, ne = reduced.n_vertices, reduced.n_edges
     extents = sorted(found, key=lambda e: (e.bit_count(), tuple(iter_bits(e))))
     index = {e: i for i, e in enumerate(extents)}
+    lower_covers = [[index[y] for y in found[e]] for e in extents]
+    anchors = tuple(index[col] for col in reduced.chi.columns)
+    intents = [0] * len(extents)
+    for j, node in enumerate(anchors):
+        intents[node] |= 1 << j
+    # Upper covers sort after a node, so walking down from the top pushes
+    # each intent on only once it is complete.
+    for i in range(len(extents) - 1, -1, -1):
+        for k in lower_covers[i]:
+            intents[k] |= intents[i]
     return ConceptLattice(
         hypergraph=reduced,
         nodes=tuple(
-            Concept(BitVec(nv, e), BitVec(ne, found[e][0])) for e in extents
+            Concept(BitVec(nv, e), BitVec(ne, intent))
+            for e, intent in zip(extents, intents)
         ),
-        lower_covers=[[index[y] for y in found[e][1]] for e in extents],
-        edge_anchors=tuple(index[col] for col in reduced.chi.columns),
+        lower_covers=lower_covers,
+        edge_anchors=anchors,
         edge_aliases=edge_aliases,
     )
 

@@ -84,16 +84,6 @@ class TestPrimes:
             extent_prime(seven_groups, BitVec.empty(8))
 
 
-class TestIncidenceRows:
-    @pytest.mark.parametrize("seed", range(30))
-    def test_rows_transpose_columns(self, seed):
-        chi = random_hypergraph(seed).chi
-        assert len(chi.rows) == chi.n_vertices
-        for k, row in enumerate(chi.rows):
-            for j, col in enumerate(chi.columns):
-                assert (row >> j) & 1 == (col >> k) & 1
-
-
 class TestClosure:
     def test_closure_of_f(self, seven_groups):
         # {f}' = {5,6}, then {5,6}' = {f,g}

@@ -327,6 +327,14 @@ class TestIncidenceCsvParser:
         with pytest.raises(ParseError, match="line 3: field larger"):
             parse_incidence_csv(text)
 
+    def test_blank_names(self):
+        for text, message in (
+            (",e1,,e3\nv1,1,0,1\nv2,0,1,1\n", "column 3: missing edge name"),
+            (",e1\nv1,1\n ,0\n", "row 3: missing vertex name"),
+        ):
+            with pytest.raises(ParseError, match=message):
+                parse_incidence_csv(text)
+
 
 class TestLatticeDocument:
     def test_round_trip_seven_groups(self, seven_groups_lattice):
@@ -497,8 +505,9 @@ class TestLatticeDocument:
             parse_lattice_document(json.dumps(doc))
 
     def test_invalid_json(self):
-        # a nesting too deep for the decoder is refused like any bad JSON
-        for text in ("{not json", "[" * 100_000):
+        # a nesting too deep for the decoder, or an integer longer than
+        # the int-string digit limit, is refused like any bad JSON
+        for text in ("{not json", "[" * 100_000, "[" + "9" * 5000 + "]"):
             with pytest.raises(ParseError, match="JSON"):
                 parse_lattice_document(text)
 
