@@ -17,6 +17,7 @@ from hglattice import (
     overlap_size,
 )
 from hglattice.core import Hypergraph, IncidenceMatrix
+from hglattice.lattice import build_lattice_vectorized
 
 
 class TestFromEdgeList:
@@ -82,6 +83,23 @@ class TestPrimes:
             intent_prime(seven_groups, BitVec.empty(6))
         with pytest.raises(DimensionError):
             extent_prime(seven_groups, BitVec.empty(8))
+
+
+class TestIncidenceRows:
+    @pytest.mark.parametrize("seed", range(30))
+    def test_rows_transpose_columns(self, seed):
+        # Row k of the incidence matrix is the intent of {k}: in the prime
+        # map, and on the lattice node whose extent is the closure of {k}.
+        h = random_hypergraph(seed)
+        lat = build_lattice_vectorized(h)
+        node_of = {c.extent.bits: c for c in lat.nodes}
+        for k in range(h.n_vertices):
+            row = intent_prime(h, BitVec.of(h.n_vertices, [k])).bits
+            for j, col in enumerate(h.chi.columns):
+                assert (row >> j) & 1 == (col >> k) & 1
+            vertex = BitVec.of(lat.hypergraph.n_vertices, [k])
+            node = node_of[closure(lat.hypergraph, vertex).bits]
+            assert node.intent == intent_prime(lat.hypergraph, vertex)
 
 
 class TestClosure:
