@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+from json.encoder import encode_basestring_ascii
 
 from .core import (
     BitVec,
@@ -82,10 +83,12 @@ def format_edge_list(h: Hypergraph) -> str:
 def parse_incidence_csv(text: str) -> Hypergraph:
     """Parse an incidence matrix CSV: header row of edge names (first cell
     is the corner and ignored), then one row per vertex with 0/1 cells.
-    Edge and vertex names must not be blank."""
+    Lines with no comma and no text are skipped; every other line is a row,
+    so a header of blank cells is refused, not passed over. Edge and vertex
+    names must not be blank."""
     reader = csv.reader(io.StringIO(text))
     try:
-        rows = [row for row in reader if any(cell.strip() for cell in row)]
+        rows = [row for row in reader if len(row) > 1 or (row and row[0].strip())]
     except csv.Error as exc:
         raise ParseError(f"line {reader.line_num}: {exc}") from exc
     if not rows:
@@ -125,43 +128,56 @@ def parse_incidence_csv(text: str) -> Hypergraph:
 DOCUMENT_FORMAT = "hg-lattice/1"
 
 
-def lattice_to_document(lat: ConceptLattice) -> dict:
-    """JSON-ready dict describing the canonical lattice."""
-    h = lat.hypergraph
-    duplicates = {
-        name: h.edge_names[rep]
-        for name, rep in sorted(lat.edge_aliases.items())
-        if name != h.edge_names[rep]
-    }
-    anchored = lat.anchored_edges
-    nodes = []
-    for i, c in enumerate(lat.nodes):
-        nodes.append(
-            {
-                "id": i,
-                "extent": list(h.vertex_names_of(c.extent)),
-                "intent": list(h.edge_names_of(c.intent)),
-                "introduces": [h.edge_names[j] for j in anchored.get(i, ())],
-            }
-        )
-    return {
-        "format": DOCUMENT_FORMAT,
-        "hypergraph": {
-            "n_vertices": h.n_vertices,
-            "n_edges": h.n_edges,
-            "vertices": list(h.vertex_names),
-            "edges": list(h.edge_names),
-            "duplicate_edges": duplicates,
-        },
-        "top": lat.top_index,
-        "bottom": lat.bottom_index,
-        "nodes": nodes,
-        "covers": [[lo, hi] for lo, hi in lat.covers],
-    }
+def _block(items, indent: int, opening: str = "[", closing: str = "]") -> str:
+    """Already encoded ``items`` as a JSON array (or object) whose brackets
+    sit at ``indent`` spaces, one item a line, as ``json.dumps(indent=2)``
+    lays it out; empty, it prints on one line."""
+    if not items:
+        return opening + closing
+    inner = "\n" + " " * (indent + 2)
+    return f"{opening}{inner}{(',' + inner).join(items)}\n{' ' * indent}{closing}"
 
 
 def serialize_lattice(lat: ConceptLattice) -> str:
-    return json.dumps(lattice_to_document(lat), indent=2) + "\n"
+    """The lattice's JSON document, byte for byte what
+    ``json.dumps(document, indent=2) + "\\n"`` writes, ASCII escapes
+    included. Each name is encoded once with the encoder ``json.dumps``
+    uses, and the layout is joined directly, which skips the pure-Python
+    path that ``json`` takes whenever ``indent`` is set."""
+    h = lat.hypergraph
+    encode = encode_basestring_ascii
+    vertices = [encode(name) for name in h.vertex_names]
+    edges = [encode(name) for name in h.edge_names]
+    duplicates = [
+        f"{encode(name)}: {edges[rep]}"
+        for name, rep in sorted(lat.edge_aliases.items())
+        if name != h.edge_names[rep]
+    ]
+    anchored = lat.anchored_edges
+    nodes = [
+        f'{{\n      "id": {i},\n'
+        f'      "extent": {_block([vertices[k] for k in c.extent], 6)},\n'
+        f'      "intent": {_block([edges[j] for j in c.intent], 6)},\n'
+        f'      "introduces": {_block([edges[j] for j in anchored.get(i, ())], 6)}\n'
+        "    }"
+        for i, c in enumerate(lat.nodes)
+    ]
+    covers = [f"[\n      {lo},\n      {hi}\n    ]" for lo, hi in lat.covers]
+    return (
+        f'{{\n  "format": {encode(DOCUMENT_FORMAT)},\n'
+        '  "hypergraph": {\n'
+        f'    "n_vertices": {h.n_vertices},\n'
+        f'    "n_edges": {h.n_edges},\n'
+        f'    "vertices": {_block(vertices, 4)},\n'
+        f'    "edges": {_block(edges, 4)},\n'
+        f'    "duplicate_edges": {_block(duplicates, 4, "{", "}")}\n'
+        "  },\n"
+        f'  "top": {lat.top_index},\n'
+        f'  "bottom": {lat.bottom_index},\n'
+        f'  "nodes": {_block(nodes, 2)},\n'
+        f'  "covers": {_block(covers, 2)}\n'
+        "}\n"
+    )
 
 
 def _require(condition: bool, message: str):

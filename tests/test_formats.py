@@ -1,3 +1,4 @@
+import hashlib
 import json
 import warnings
 
@@ -10,6 +11,7 @@ from conftest import (
     SEVEN_GROUPS_CSV,
     SEVEN_GROUPS_EDGE_MEMBERS,
     random_dedup_hypergraph,
+    random_hypergraph,
 )
 from hglattice import (
     ParseError,
@@ -24,6 +26,8 @@ from hglattice import (
     parse_lattice_document,
     serialize_lattice,
 )
+
+from test_acceptance import RANDOM_SEEDS, build_quiet
 
 SEVEN_GROUPS_EDGE_LINES = """\
 # groups of a..g
@@ -331,9 +335,16 @@ class TestIncidenceCsvParser:
         for text, message in (
             (",e1,,e3\nv1,1,0,1\nv2,0,1,1\n", "column 3: missing edge name"),
             (",e1\nv1,1\n ,0\n", "row 3: missing vertex name"),
+            (",e1,e2\nv1,1,0\n,,\n", "row 3: missing vertex name"),
+            # a header of blank cells is the header, not a skipped line
+            (",,\nv1,1,0\nv2,0,1\n", "column 2: missing edge name"),
         ):
             with pytest.raises(ParseError, match=message):
                 parse_incidence_csv(text)
+
+    def test_empty_lines_skipped(self):
+        h = parse_incidence_csv("\n,e1\n\n  \nv1,1\n\n")
+        assert h.vertex_names == ("v1",) and h.edge_names == ("e1",)
 
 
 class TestLatticeDocument:
@@ -514,6 +525,73 @@ class TestLatticeDocument:
     def test_wrong_format_tag(self):
         with pytest.raises(ParseError, match="format"):
             parse_lattice_document(json.dumps({"format": "other"}))
+
+
+def assert_json_layout(text):
+    """``text`` is laid out exactly as ``json.dumps(indent=2)`` lays out the
+    document it holds, ASCII escapes included."""
+    assert json.dumps(json.loads(text), indent=2) + "\n" == text
+
+
+# Names the encoder must escape: a quote, a backslash, a newline, a control
+# character, non-ASCII text and an astral-plane character (a surrogate pair).
+AWKWARD_NAMES = ['say "hi"', "back\\slash", "two\nlines", "bell\x07", "café",
+                 "grin\U0001F600"]
+
+# Edge lists, each with text its document must contain.
+LAYOUT_CASES = [
+    pytest.param([], ['"vertices": []', '"edges": []', '"covers": []'],
+                 id="no-edges"),
+    pytest.param([("1", [])], ['"extent": []', '"introduces": [\n        "1"'],
+                 id="one-empty-edge"),
+    pytest.param([("1", ["a", "b"])], ['"covers": []', '"intent": [\n'],
+                 id="one-node"),
+    pytest.param(
+        [("z", ["a"]), ("y", ["a"]), ("b", ["a"]), ("x", ["a", "c"])],
+        ['"duplicate_edges": {\n      "b": "z",\n      "y": "z"\n    }'],
+        id="duplicates-sorted-by-name",
+    ),
+    pytest.param(
+        [(name, AWKWARD_NAMES[:k + 1]) for k, name in enumerate(AWKWARD_NAMES)]
+        + [(name + "!", AWKWARD_NAMES[:k + 1])
+           for k, name in enumerate(AWKWARD_NAMES)],
+        ['"say \\"hi\\""', '"back\\\\slash"', '"two\\nlines"', '"bell\\u0007"',
+         '"caf\\u00e9"', '"grin\\ud83d\\ude00"', '"grin\\ud83d\\ude00!": '],
+        id="escaped-names",
+    ),
+]
+
+
+class TestDocumentLayout:
+    """The writer joins the document text itself; the json module checks
+    that the bytes are what ``json.dumps(indent=2)`` writes."""
+
+    def test_seven_groups_bytes_pinned(self, seven_groups_lattice):
+        # The bottom's extent is empty, no edge repeats and the top
+        # introduces no edge.
+        text = serialize_lattice(seven_groups_lattice)
+        assert_json_layout(text)
+        for empty in ('"extent": []', '"duplicate_edges": {}',
+                      '"introduces": []'):
+            assert empty in text
+        assert hashlib.sha256(text.encode()).hexdigest() == (
+            "2e4b8a86f7ed72d0f516ecf4498cd1e4f6f6674f17e9a9b93109519fe69ea37c"
+        )
+
+    def test_differential_instances(self):
+        for seed in RANDOM_SEEDS:
+            lat = build_quiet(build_lattice_naive, random_hypergraph(seed))
+            assert_json_layout(serialize_lattice(lat))
+
+    @pytest.mark.parametrize("edges, expected", LAYOUT_CASES)
+    def test_edge_cases(self, edges, expected):
+        lat = build_quiet(build_lattice_naive, from_edge_list(edges))
+        text = serialize_lattice(lat)
+        assert_json_layout(text)
+        assert text.isascii()
+        for part in expected:
+            assert part in text
+        assert parse_lattice_document(text) == lat
 
 
 class TestDotExport:
