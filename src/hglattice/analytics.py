@@ -6,8 +6,8 @@ for overlap threshold s reads that one adjacency through a filter: it
 keeps the nodes whose extent has at least s vertices, minus a top that is
 not itself a hyperedge. Nothing is built per query or per s. A path query
 rejects a pruned endpoint before it searches. Queries only read the
-lattice (the per-node indices it derives on first use are deterministic),
-so they are safe to run concurrently.
+lattice and the per-node indices its constructor set, so they are safe to
+run concurrently.
 
 A path query is a breadth-first search over hyperedges that only walks
 down the covers: the intents of the nodes under an edge's anchor, with at

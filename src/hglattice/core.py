@@ -30,6 +30,10 @@ class SizeLimitError(ValueError):
     """A brute-force enumeration guard was exceeded."""
 
 
+# The most edges a powerset enumeration accepts, one guard for all of them.
+BRUTE_FORCE_EDGE_LIMIT = 20
+
+
 def iter_bits(bits: int) -> Iterator[int]:
     """Yield the indices of set bits in ascending order."""
     while bits:

@@ -21,7 +21,7 @@ from .core import (
     from_edge_list,
     iter_bits,
 )
-from .lattice import ConceptLattice, assemble_lattice, walk_lattice
+from .lattice import ConceptLattice, walk_lattice
 
 
 class ParseError(ValueError):
@@ -87,36 +87,41 @@ def parse_incidence_csv(text: str) -> Hypergraph:
     so a header of blank cells is refused, not passed over. Edge and vertex
     names must not be blank."""
     reader = csv.reader(io.StringIO(text))
+    # Each row with the physical line it ends on, since blank lines and
+    # quoted line breaks make rows and lines differ.
+    rows = []
     try:
-        rows = [row for row in reader if len(row) > 1 or (row and row[0].strip())]
+        for row in reader:
+            if len(row) > 1 or (row and row[0].strip()):
+                rows.append((reader.line_num, row))
     except csv.Error as exc:
         raise ParseError(f"line {reader.line_num}: {exc}") from exc
     if not rows:
         return from_edge_list([])
-    header = rows[0]
+    line, header = rows[0]
     edge_names = [cell.strip() for cell in header[1:]]
     for c, name in enumerate(edge_names, start=2):
         if not name:
-            raise ParseError(f"column {c}: missing edge name")
+            raise ParseError(f"line {line}, column {c}: missing edge name")
     n_edges = len(edge_names)
     vertex_names = []
     columns = [0] * n_edges
-    for r, row in enumerate(rows[1:], start=2):
+    for v, (line, row) in enumerate(rows[1:]):
         if len(row) != n_edges + 1:
             raise ParseError(
-                f"row {r}: expected {n_edges + 1} cells, got {len(row)}"
+                f"line {line}: expected {n_edges + 1} cells, got {len(row)}"
             )
         name = row[0].strip()
         if not name:
-            raise ParseError(f"row {r}: missing vertex name")
+            raise ParseError(f"line {line}: missing vertex name")
         vertex_names.append(name)
         for c, cell in enumerate(row[1:], start=2):
             value = cell.strip()
             if value == "1":
-                columns[c - 2] |= 1 << (r - 2)
+                columns[c - 2] |= 1 << v
             elif value != "0":
                 raise ParseError(
-                    f"row {r}, column {c}: expected 0 or 1, got {cell!r}"
+                    f"line {line}, column {c}: expected 0 or 1, got {cell!r}"
                 )
     try:
         chi = IncidenceMatrix(len(vertex_names), n_edges, tuple(columns))
@@ -299,7 +304,7 @@ def document_to_lattice(doc: dict) -> ConceptLattice:
         found[y] = lower
     for i, x in enumerate(extents):
         _require(x in found, f"extent {i} is not the AND of its intent's columns")
-    lat = assemble_lattice(h, aliases, found)
+    lat = ConceptLattice(h, found, aliases)
     _require([node.extent.bits for node in lat.nodes] == extents,
              "node extents must be distinct and in canonical order")
     for i, node in enumerate(lat.nodes):
@@ -327,14 +332,21 @@ def parse_lattice_document(text: str) -> ConceptLattice:
 
 def lattice_to_dot(lat: ConceptLattice) -> str:
     """Hasse diagram in DOT form, one edge per cover pair, nodes labelled
-    ``{extent} : {intent}``."""
+    ``{extent} : {intent}``. Backslashes and quotes in a label are escaped
+    and a line break is written as Graphviz's ``\\n``, so every name
+    prints as it is and every statement stays on one line."""
     lines = [
         "digraph lattice {",
         "  rankdir=BT;",
         '  node [shape=box, fontname="Helvetica"];',
     ]
     for i in range(len(lat.nodes)):
-        label = lat.node_label(i).replace('"', '\\"')
+        label = (
+            lat.node_label(i)
+            .replace("\\", "\\\\")
+            .replace('"', '\\"')
+            .replace("\n", "\\n")
+        )
         lines.append(f'  n{i} [label="{label}"];')
     for lo, hi in lat.covers:
         lines.append(f"  n{lo} -> n{hi};")

@@ -18,12 +18,13 @@ loader runs the same walk over a document's edge columns, stopped at the
 first extent the document lacks, and compares. The naive builder is the
 independent reference for extents (new ones intersected with all known
 ones) and covers (per-pair subset tests plus transitive reduction). All
-three hand extents and lower covers to one assembly step, which orders the
-nodes canonically, anchors the edges and reads the intents off the covers:
-X's intent is the set of edges anchored at X or above it (the reduced
-labels of Ganter & Wille, 1999). The two builders' outputs must compare
-equal byte for byte; the test suite enforces that, plus agreement with an
-independent powerset enumeration of the concepts by the prime operators.
+three pass extents and lower covers to the ``ConceptLattice`` constructor,
+which orders the nodes canonically, anchors the edges and reads the
+intents off the covers: X's intent is the set of edges anchored at X or
+above it (the reduced labels of Ganter & Wille, 1999). The two builders'
+outputs must compare equal byte for byte; the test suite enforces that,
+plus agreement with an independent powerset enumeration of the concepts by
+the prime operators.
 """
 
 from __future__ import annotations
@@ -33,9 +34,10 @@ from array import array
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import accumulate, chain, combinations
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 from .core import (
+    BRUTE_FORCE_EDGE_LIMIT,
     BitVec,
     EdgeSet,
     Hypergraph,
@@ -47,8 +49,6 @@ from .core import (
     intent_prime,
     iter_bits,
 )
-
-ORACLE_EDGE_LIMIT = 20
 
 
 @dataclass(frozen=True)
@@ -72,39 +72,64 @@ class GaloisLabel:
 class ConceptLattice:
     """Canonically ordered concept lattice of a deduplicated hypergraph.
 
+    The constructor assembles it from ``found``, the hypergraph's extent
+    family with each extent mapped to its lower-cover extents, the form
+    ``walk_lattice`` yields; both builders and the document loader build
+    the lattice this way, and this is the one place intents are computed.
     Nodes are sorted by (extent cardinality, extent index tuple), which is
     a topological order of the cover DAG from bottom to top, so the bottom
-    is node 0 and the top (the full vertex set) the last node. The covers
-    are the only stored order: ``__init__`` packs each node's lower covers
-    once into ``cover_adjacency``, the covers read undirected in compressed
-    sparse row form ``(offsets, uppers, neighbours)``. Node i's row
-    ``neighbours[offsets[i]:offsets[i + 1]]`` holds its lower covers up to
-    ``uppers[i]``, then its upper covers, each part ascending; ``covers``
-    and the full containment ``order`` are read off these rows.
-    ``edge_anchors[j]`` is the node whose
-    extent equals column j, and ``edge_aliases`` maps every edge name of
-    the source hypergraph, duplicates included, to its deduplicated edge
-    index (the identity on the edge names by default). Instances are
-    immutable after construction; the other indices derived from these
-    fields (``order``, ``covers``, ``extent_sizes``, ``intent_bits``,
-    ``anchored_edges``) are built on first use, deterministically.
+    is node 0 and the top (the full vertex set) the last node.
+    ``edge_anchors[j]`` is the node whose extent equals column j. An edge
+    contains an extent exactly when its anchor lies at or above that
+    extent's node, so a node's intent is the union of the edges anchored
+    at it or above it. ``edge_aliases`` maps every edge name of the source
+    hypergraph, duplicates included, to its deduplicated edge index.
+
+    The covers are the only stored order: each node's lower covers are
+    packed once into ``cover_adjacency``, the covers read undirected in
+    compressed sparse row form ``(offsets, uppers, neighbours)``. Node i's
+    row ``neighbours[offsets[i]:offsets[i + 1]]`` holds its lower covers up
+    to ``uppers[i]``, then its upper covers, each part ascending. The
+    per-node indices the queries read (``extent_sizes``, ``intent_bits``,
+    ``anchored_edges``) are set here too. Instances are immutable after
+    construction; ``covers`` and the full containment ``order`` are read
+    off the rows on first use, deterministically.
     """
 
     def __init__(
         self,
         hypergraph: Hypergraph,
-        nodes: tuple[Concept, ...],
-        lower_covers: Sequence[Iterable[int]],
-        edge_anchors: tuple[int, ...],
-        edge_aliases: dict[str, int] | None = None,
+        found: dict[int, Iterable[int]],
+        edge_aliases: dict[str, int],
     ):
         self.hypergraph = hypergraph
-        self.nodes = nodes
-        self.edge_anchors = edge_anchors
-        if edge_aliases is None:
-            edge_aliases = dict(hypergraph.edge_index)
         self.edge_aliases = edge_aliases
-        rows = [sorted(lower) for lower in lower_covers]
+        extents = sorted(
+            found, key=lambda e: (e.bit_count(), tuple(iter_bits(e)))
+        )
+        index = {e: i for i, e in enumerate(extents)}
+        rows = [sorted(index[y] for y in found[e]) for e in extents]
+        self.edge_anchors = tuple(index[col] for col in hypergraph.chi.columns)
+        intents = [0] * len(extents)
+        anchored: dict[int, list[int]] = {}
+        for j, node in enumerate(self.edge_anchors):
+            intents[node] |= 1 << j
+            anchored.setdefault(node, []).append(j)
+        # Upper covers sort after a node, so walking down from the top pushes
+        # each intent on only once it is complete.
+        for i in range(len(rows) - 1, -1, -1):
+            for k in rows[i]:
+                intents[k] |= intents[i]
+        nv, ne = hypergraph.n_vertices, hypergraph.n_edges
+        self.nodes = tuple(
+            Concept(BitVec(nv, e), BitVec(ne, intent))
+            for e, intent in zip(extents, intents)
+        )
+        self.extent_sizes = tuple(map(int.bit_count, extents))
+        self.intent_bits = tuple(intents)
+        # Anchor node -> the edges anchored there, ascending; nodes that
+        # anchor no edge are absent.
+        self.anchored_edges = {node: tuple(js) for node, js in anchored.items()}
         n_lower = [len(row) for row in rows]
         for i, row in enumerate(rows):
             # Upper covers sort after i, so row holds only lower covers yet.
@@ -173,25 +198,6 @@ class ConceptLattice:
             for j in neighbours[uppers[i]:offsets[i + 1]]
         )
 
-    @cached_property
-    def extent_sizes(self) -> tuple[int, ...]:
-        """Per node, the number of vertices in its extent."""
-        return tuple(c.extent.count for c in self.nodes)
-
-    @cached_property
-    def intent_bits(self) -> tuple[int, ...]:
-        """Per node, its intent as a plain int of edge bits."""
-        return tuple(c.intent.bits for c in self.nodes)
-
-    @cached_property
-    def anchored_edges(self) -> dict[int, tuple[int, ...]]:
-        """Anchor node -> the edges anchored there, ascending; nodes that
-        anchor no edge are absent."""
-        edges: dict[int, list[int]] = {}
-        for j, node in enumerate(self.edge_anchors):
-            edges.setdefault(node, []).append(j)
-        return {node: tuple(js) for node, js in edges.items()}
-
     def is_anchor(self, node: int) -> bool:
         return node in self.anchored_edges
 
@@ -237,9 +243,9 @@ def build_lattice_naive(h: Hypergraph) -> ConceptLattice:
     new extents against all known ones until a pass adds nothing, then adds
     the full vertex set as top. Containment is decided by per-pair subset
     tests on the backing ints; the covers are the transitive reduction of
-    that order. The extents and their lower covers go to the same assembly
-    step as the walk's (``assemble_lattice``), which reads the intents off
-    the covers.
+    that order. The extents and their lower covers go to the
+    ``ConceptLattice`` constructor like the walk's, which reads the intents
+    off the covers.
     """
     reduced, edge_aliases = _prepare(h)
 
@@ -279,8 +285,8 @@ def build_lattice_naive(h: Hypergraph) -> ConceptLattice:
         for j in iter_bits(up_masks[i] & ~reachable):
             lower_covers[j].append(family[i])
 
-    return assemble_lattice(
-        reduced, edge_aliases, dict(zip(family, lower_covers))
+    return ConceptLattice(
+        reduced, dict(zip(family, lower_covers)), edge_aliases
     )
 
 
@@ -316,8 +322,8 @@ def concept_neighbours(
 
 def walk_lattice(chi: IncidenceMatrix) -> Iterator[tuple[int, list[int]]]:
     """Every extent of the column family with its lower covers, by one
-    walk down the lower covers; the intents are left to
-    ``assemble_lattice``.
+    walk down the lower covers; the intents are left to the
+    ``ConceptLattice`` constructor.
 
     Starts from the full vertex set as top, whose rule
     (``concept_neighbours``) takes the edge columns, and goes on depth
@@ -343,57 +349,16 @@ def walk_lattice(chi: IncidenceMatrix) -> Iterator[tuple[int, list[int]]]:
                 stack.append((below, own))
 
 
-def assemble_lattice(
-    reduced: Hypergraph,
-    edge_aliases: dict[str, int] | None,
-    found: dict[int, Iterable[int]],
-) -> ConceptLattice:
-    """Lattice object of a deduplicated hypergraph from its extent family,
-    each extent mapped to its lower-cover extents, the form
-    ``walk_lattice`` yields; both builders and the document loader end
-    here, and this is the one place intents are computed.
-
-    Nodes take the canonical order of the extents, each node's lower
-    covers are mapped to node indices, and each edge is anchored at the
-    node whose extent equals its column. An edge contains an extent
-    exactly when its anchor lies at or above that extent's node, so a
-    node's intent is the union of the edges anchored at it or above it.
-    """
-    nv, ne = reduced.n_vertices, reduced.n_edges
-    extents = sorted(found, key=lambda e: (e.bit_count(), tuple(iter_bits(e))))
-    index = {e: i for i, e in enumerate(extents)}
-    lower_covers = [[index[y] for y in found[e]] for e in extents]
-    anchors = tuple(index[col] for col in reduced.chi.columns)
-    intents = [0] * len(extents)
-    for j, node in enumerate(anchors):
-        intents[node] |= 1 << j
-    # Upper covers sort after a node, so walking down from the top pushes
-    # each intent on only once it is complete.
-    for i in range(len(extents) - 1, -1, -1):
-        for k in lower_covers[i]:
-            intents[k] |= intents[i]
-    return ConceptLattice(
-        hypergraph=reduced,
-        nodes=tuple(
-            Concept(BitVec(nv, e), BitVec(ne, intent))
-            for e, intent in zip(extents, intents)
-        ),
-        lower_covers=lower_covers,
-        edge_anchors=anchors,
-        edge_aliases=edge_aliases,
-    )
-
-
 def build_lattice_vectorized(h: Hypergraph) -> ConceptLattice:
     """Column-closure builder; output is identical to the naive builder.
 
     Deduplicates the edge columns, walks the extent family of the result
-    (``walk_lattice``) and assembles it (``assemble_lattice``). The name
+    (``walk_lattice``) and assembles the ``ConceptLattice``. The name
     is kept for ``--algorithm vectorized`` and the ``bench`` output.
     """
     reduced, edge_aliases = _prepare(h)
-    return assemble_lattice(
-        reduced, edge_aliases, dict(walk_lattice(reduced.chi))
+    return ConceptLattice(
+        reduced, dict(walk_lattice(reduced.chi)), edge_aliases
     )
 
 
@@ -401,14 +366,14 @@ def enumerate_concepts_oracle(h: Hypergraph) -> frozenset[Concept]:
     """All concepts by brute force: close every subset of the edge set.
 
     Enumerates the full powerset of edges, so it refuses inputs with more
-    than ORACLE_EDGE_LIMIT edges. Deliberately independent of the builders;
-    only the prime operators are shared.
+    than BRUTE_FORCE_EDGE_LIMIT edges. Deliberately independent of the
+    builders; only the prime operators are shared.
     """
     ne = h.n_edges
-    if ne > ORACLE_EDGE_LIMIT:
+    if ne > BRUTE_FORCE_EDGE_LIMIT:
         raise SizeLimitError(
-            f"concept enumeration is limited to {ORACLE_EDGE_LIMIT} edges; "
-            f"got {ne}"
+            f"concept enumeration is limited to {BRUTE_FORCE_EDGE_LIMIT} "
+            f"edges; got {ne}"
         )
     found = set()
     for bits in range(1 << ne):

@@ -13,9 +13,14 @@ from collections import deque
 from dataclasses import dataclass
 from itertools import combinations
 
-from .core import BitVec, Hypergraph, SizeLimitError, VertexSet, overlap_size
-
-POWERSET_EDGE_LIMIT = 20
+from .core import (
+    BRUTE_FORCE_EDGE_LIMIT,
+    BitVec,
+    Hypergraph,
+    SizeLimitError,
+    VertexSet,
+    overlap_size,
+)
 
 
 @dataclass(frozen=True)
@@ -102,12 +107,12 @@ def intersection_complex_bruteforce(h: Hypergraph) -> frozenset[VertexSet]:
 
     The edge set is extended with the full vertex set, then every nonempty
     subfamily is intersected. Powerset enumeration, so inputs with more
-    than POWERSET_EDGE_LIMIT edges are refused.
+    than BRUTE_FORCE_EDGE_LIMIT edges are refused.
     """
     ne = h.n_edges
-    if ne > POWERSET_EDGE_LIMIT:
+    if ne > BRUTE_FORCE_EDGE_LIMIT:
         raise SizeLimitError(
-            f"intersection enumeration is limited to {POWERSET_EDGE_LIMIT} "
+            f"intersection enumeration is limited to {BRUTE_FORCE_EDGE_LIMIT} "
             f"edges; got {ne}"
         )
     nv = h.n_vertices

@@ -390,7 +390,7 @@ class TestSharedAdjacency:
 
         threads = [threading.Thread(target=worker, args=(k,)) for k in range(4)]
         interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)  # switch threads inside the lazy builds
+        sys.setswitchinterval(1e-6)  # switch threads often inside the queries
         try:
             for t in threads:
                 t.start()

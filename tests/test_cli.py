@@ -69,7 +69,7 @@ class TestBuild:
         bad.write_text(",e1\na,7\n")
         code, _, err = run(capsys, "build", str(bad))
         assert code == 1
-        assert "row 2" in err
+        assert "line 2" in err
 
     def test_missing_file_exit_1(self, capsys):
         code, _, err = run(capsys, "build", "/nonexistent/input.csv")
@@ -326,14 +326,13 @@ class TestBench:
         def one_cover_short(h):
             lat = real(h)
             offsets, uppers, neighbours = lat.cover_adjacency
-            lower = [
-                list(neighbours[offsets[i]:uppers[i]]) for i in range(len(lat))
-            ]
-            next(row for row in lower if row).pop()
-            return ConceptLattice(
-                lat.hypergraph, lat.nodes, lower, lat.edge_anchors,
-                lat.edge_aliases,
-            )
+            extents = [c.extent.bits for c in lat.nodes]
+            found = {
+                extents[i]: [extents[j] for j in neighbours[offsets[i]:uppers[i]]]
+                for i in range(len(lat))
+            }
+            next(lower for lower in found.values() if lower).pop()
+            return ConceptLattice(lat.hypergraph, found, lat.edge_aliases)
 
         monkeypatch.setattr(lattice, "build_lattice_vectorized", one_cover_short)
         code, _, err = run(capsys, "bench", "--sizes", "10")

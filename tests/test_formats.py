@@ -1,5 +1,6 @@
 import hashlib
 import json
+import re
 import warnings
 
 import pytest
@@ -315,12 +316,25 @@ class TestIncidenceCsvParser:
         assert is_topped(h)
 
     def test_ragged_row(self):
-        with pytest.raises(ParseError, match="row 3"):
+        with pytest.raises(ParseError, match="line 3"):
             parse_incidence_csv(",e1,e2\na,0,1\nb,0\n")
 
     def test_non_binary_cell_coordinates(self):
-        with pytest.raises(ParseError, match="row 2, column 3"):
+        with pytest.raises(ParseError, match="line 2, column 3"):
             parse_incidence_csv(",e1,e2\na,0,2\n")
+
+    def test_errors_name_the_physical_line(self):
+        # Blank lines and a quoted name holding a line break come before
+        # the bad row, so its line number is larger than its row number.
+        for text, message in (
+            (",e1\nv1,1\n\n\nv2,x\n", "^line 5, column 2: expected 0 or 1"),
+            (",e1\nv1,1\n\nv2,1,0\n", "^line 4: expected 2 cells, got 3$"),
+            (',e1\n"v\n1",1\n\nv2,x\n', "^line 5, column 2: expected 0 or 1"),
+            (',e1\n"v\n1",1\n\n ,0\n', "^line 5: missing vertex name$"),
+            ("\n\n,e1,\nv1,1,0\n", "^line 3, column 3: missing edge name$"),
+        ):
+            with pytest.raises(ParseError, match=message):
+                parse_incidence_csv(text)
 
     def test_empty_text(self):
         h = parse_incidence_csv("")
@@ -334,8 +348,8 @@ class TestIncidenceCsvParser:
     def test_blank_names(self):
         for text, message in (
             (",e1,,e3\nv1,1,0,1\nv2,0,1,1\n", "column 3: missing edge name"),
-            (",e1\nv1,1\n ,0\n", "row 3: missing vertex name"),
-            (",e1,e2\nv1,1,0\n,,\n", "row 3: missing vertex name"),
+            (",e1\nv1,1\n ,0\n", "line 3: missing vertex name"),
+            (",e1,e2\nv1,1,0\n,,\n", "line 3: missing vertex name"),
             # a header of blank cells is the header, not a skipped line
             (",,\nv1,1,0\nv2,0,1\n", "column 2: missing edge name"),
         ):
@@ -605,6 +619,24 @@ class TestDotExport:
         assert len(node_lines) == 13
         assert '"{a,d} : {2,3}"' in dot
         assert '"{g} : {5,6,7}"' in dot
+
+    def test_labels_escape_backslashes_quotes_and_line_breaks(self):
+        # An edge "e\1", a vertex "v\n" (backslash, n), one holding a quote
+        # and one holding a real line break.
+        text = ',"e\\1",e2\n"v\\n",1,1\n"q\nr",0,1\n"""s""",1,1\n'
+        lat = build_quiet(build_lattice_naive, parse_incidence_csv(text))
+        dot = lattice_to_dot(lat)
+        node_lines = [l for l in dot.splitlines() if "[label=" in l]
+        assert len(node_lines) == len(lat)
+        unescape = {"\\": "\\", '"': '"', "n": "\n"}
+        for i, line in enumerate(node_lines):
+            quoted = re.fullmatch(r'  n(\d+) \[label="((?:[^"\\]|\\.)*)"\];', line)
+            assert quoted and int(quoted[1]) == i
+            assert set(re.findall(r"\\(.)", quoted[2])) <= set(unescape)
+            label = re.sub(r"\\(.)", lambda m: unescape[m[1]], quoted[2])
+            assert label == lat.node_label(i)
+        assert '"{v\\\\n,\\"s\\"} : {e\\\\1,e2}"' in dot
+        assert '"{v\\\\n,q\\nr,\\"s\\"} : {e2}"' in dot
 
     def test_single_node(self):
         lat = build_lattice_naive(from_edge_list([]))

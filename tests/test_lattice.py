@@ -202,17 +202,12 @@ def upper_covers(lat: ConceptLattice, i: int):
 
 def drop_node(lat: ConceptLattice, victim: int) -> ConceptLattice:
     """Build a structurally consistent lattice object missing one node."""
-    keep = [i for i in range(len(lat.nodes)) if i != victim]
-    remap = {old: new for new, old in enumerate(keep)}
-    return ConceptLattice(
-        hypergraph=lat.hypergraph,
-        nodes=tuple(lat.nodes[i] for i in keep),
-        lower_covers=[
-            [remap[j] for j in lower_covers(lat, i) if j != victim]
-            for i in keep
-        ],
-        edge_anchors=tuple(remap[a] for a in lat.edge_anchors),
-    )
+    extents = [c.extent.bits for c in lat.nodes]
+    found = {
+        extents[i]: [extents[j] for j in lower_covers(lat, i) if j != victim]
+        for i in range(len(lat)) if i != victim
+    }
+    return ConceptLattice(lat.hypergraph, found, lat.edge_aliases)
 
 
 class TestVerifyIsomorphism:
@@ -315,6 +310,42 @@ class TestAnchors:
             for j, name in enumerate(h.edge_names):
                 node = edge_anchor(lat, name)
                 assert lat.nodes[node].extent == h.edge_column(j)
+
+
+class TestQueryIndices:
+    """The per-node indices the queries read agree with the nodes and
+    anchors they index, for both builders and for a loaded document."""
+
+    @pytest.mark.parametrize(
+        "source", ["seven-groups", "duplicate-edges", *range(30)]
+    )
+    def test_indices_match_nodes_and_anchors(self, source, seven_groups):
+        if source == "seven-groups":
+            h = seven_groups
+        elif source == "duplicate-edges":
+            h = from_edge_list(
+                [("p", ["a", "b"]), ("q", ["a", "b"]), ("r", ["b", "c"])]
+            )
+        else:
+            h = random_dedup_hypergraph(source)
+        for build in (build_lattice_naive, build_lattice_vectorized):
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")
+                built = build(h)
+            for lat in (built, parse_lattice_document(serialize_lattice(built))):
+                assert lat.extent_sizes == tuple(
+                    c.extent.count for c in lat.nodes
+                )
+                assert lat.intent_bits == tuple(c.intent.bits for c in lat.nodes)
+                # Exactly the inverse of edge_anchors: each edge listed once,
+                # under its anchor, and no node listed empty.
+                pairs = sorted(
+                    (j, node)
+                    for node, js in lat.anchored_edges.items()
+                    for j in js
+                )
+                assert pairs == list(enumerate(lat.edge_anchors))
+                assert all(lat.anchored_edges.values())
 
 
 class TestLatticeLaws:
