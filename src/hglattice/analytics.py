@@ -4,17 +4,22 @@ The lattice packs its undirected cover adjacency
 (``ConceptLattice.cover_adjacency``) once, when it is assembled. A query
 for overlap threshold s reads that one adjacency through a filter: it
 keeps the nodes whose extent has at least s vertices, minus a top that is
-not itself a hyperedge. Nothing is built per query or per s. A path query
-rejects a pruned endpoint before it searches. Queries only read the
-lattice and the per-node indices its constructor set, so they are safe to
-run concurrently.
+not itself a hyperedge. No view is built per query or per s. A path query
+rejects a pruned endpoint before it searches.
 
 A path query is a breadth-first search over hyperedges that only walks
 down the covers: the intents of the nodes under an edge's anchor, with at
 least s vertices each, list exactly the edges that meet it in s or more
 vertices. Its distance is the exact s-distance (Aksoy et al., EPJ Data
 Science 9:16, 2020), and its lattice path is the cover walk through
-retained nodes that realises the path, not the fewest cover hops.
+retained nodes that realises the path, not the fewest cover hops. The
+search stops as soon as its answer is fixed: at the first edge found that
+meets the target in s vertices, from which it walks to the target alone.
+A search that finds no path records the s-component it exhausted in the
+lattice's ``component_memo``, so a later query at that s leaving the
+component is answered at once. That memo is the only state a query
+writes; it holds exact values, so threads that race on it store equal
+ones, and queries are safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -87,18 +92,70 @@ def prune(lat: ConceptLattice, s: int) -> PrunedLatticeView:
 
 def _edge_search(lat: ConceptLattice, s: int, source: int, target: int):
     """(cover walk, edges) of a fewest-hop s-path between two distinct
-    edges, or None. Round k holds the edges at s-distance k; each round
-    walks down from its edges' anchors onto nodes with at least s vertices
-    and takes the unseen edges off their intents. The first node where an
-    edge turns up is its valley. A node is walked once per query: when
-    reached again, the nodes below it were walked already."""
-    offsets, uppers, neighbours = lat.cover_adjacency
-    sizes, intents, anchors = lat.extent_sizes, lat.intent_bits, lat.edge_anchors
-    unseen = ((1 << lat.hypergraph.n_edges) - 1) ^ (1 << source)
-    goal = 1 << target
+    edges, or None.
+
+    The nodes that meet the target in s or more vertices form an up-set,
+    and a walk down from an edge's anchor reaches them exactly when the
+    edge meets the target in s vertices. ``_last_hop`` stops at the first
+    edge found that does. No walk so far touched the up-set, and in a
+    search that went on none would before that edge's own walk, so
+    walking from it alone, through the up-set, down to the first node
+    under the target, leaves the links and valley that search would.
+    A component the search exhausts is recorded in
+    ``lat.component_memo``, so a later query at this s with one end in it
+    and the other outside is answered without a search.
+    """
+    known = lat.component_memo.get(s)
+    if known:
+        comp = known.get(source) or known.get(target)
+        ends = (1 << source) | (1 << target)
+        if comp and comp & ends != ends:
+            return None
     # node -> the node above that reached it, or ~e at the anchor of edge e
     down: dict[int, int] = {}
     valley: dict[int, int] = {}
+    last = _last_hop(lat, s, source, target, down, valley)
+    if last < 0:
+        return None
+    offsets, uppers, neighbours = lat.cover_adjacency
+    intents, extents = lat.intent_bits, lat.extent_bits
+    meets, goal = lat.hypergraph.chi.columns[target], 1 << target
+    root = lat.edge_anchors[last]
+    down[root] = ~last
+    reached = [root]
+    # Nodes outside the up-set lie above no node under the target.
+    for n in reached:
+        if intents[n] & goal:
+            break
+        for m in neighbours[offsets[n]:uppers[n]]:
+            if m not in down and (extents[m] & meets).bit_count() >= s:
+                down[m] = n
+                reached.append(m)
+    valley[target] = n
+    return _realising_walk(lat, source, target, down, valley)
+
+
+def _last_hop(lat, s, source, target, down, valley) -> int:
+    """The first edge the search finds that meets the target in s
+    vertices, or -1 when the source's s-component has none.
+
+    Round k holds the edges at s-distance k; each round walks down from
+    its edges' anchors onto nodes with at least s vertices and takes the
+    unseen edges off their intents, filling ``down`` and ``valley``. The
+    first node where an edge turns up is its valley. A node is walked once
+    per query: when reached again, the nodes below it were walked already.
+    The search stops at the first edge found that meets the target; when
+    it runs out instead, it has walked the source's whole s-component,
+    which it records in ``lat.component_memo``.
+    """
+    columns = lat.hypergraph.chi.columns
+    meets = columns[target]
+    if (columns[source] & meets).bit_count() >= s:
+        return source
+    offsets, uppers, neighbours = lat.cover_adjacency
+    sizes, intents, anchors = lat.extent_sizes, lat.intent_bits, lat.edge_anchors
+    every = (1 << lat.hypergraph.n_edges) - 1
+    unseen = every ^ (1 << source)
     level = [source]
     while level:
         nxt: list[int] = []
@@ -111,19 +168,22 @@ def _edge_search(lat: ConceptLattice, s: int, source: int, target: int):
             for n in reached:
                 hit = intents[n] & unseen
                 if hit:
-                    if hit & goal:
-                        valley[target] = n
-                        return _realising_walk(lat, source, target, down, valley)
                     unseen ^= hit
                     for f in iter_bits(hit):
                         valley[f] = n
+                        if (columns[f] & meets).bit_count() >= s:
+                            return f
                         nxt.append(f)
                 for m in neighbours[offsets[n]:uppers[n]]:
                     if m not in down and sizes[m] >= s:
                         down[m] = n
                         reached.append(m)
         level = nxt
-    return None
+    comp = every ^ unseen
+    known = lat.component_memo.setdefault(s, {})
+    known.update(dict.fromkeys(valley, comp))
+    known[source] = comp
+    return -1
 
 
 def _realising_walk(lat, source, target, down, valley):
@@ -131,17 +191,17 @@ def _realising_walk(lat, source, target, down, valley):
     its valley over lower covers that contain the valley, then up the
     links that reached the valley to the previous edge's anchor."""
     offsets, uppers, neighbours = lat.cover_adjacency
-    nodes = lat.nodes
+    extents = lat.extent_bits
     edges, walk = [target], []
     e = target
     while e != source:
         n, v = lat.edge_anchors[e], valley[e]
-        bits = nodes[v].extent.bits
+        bits = extents[v]
         while n != v:
             walk.append(n)
             n = next(
                 m for m in neighbours[offsets[n]:uppers[n]]
-                if nodes[m].extent.bits & bits == bits
+                if extents[m] & bits == bits
             )
         while (up := down[n]) >= 0:
             walk.append(n)
@@ -168,7 +228,7 @@ def shortest_s_path(
     a, b = lat.resolve_edge(source), lat.resolve_edge(target)
     for role, name, j in (("source", source, a), ("target", target, b)):
         # An anchor is a hyperedge, so only its size can prune it.
-        if lat.nodes[lat.edge_anchors[j]].extent.count < s:
+        if lat.extent_sizes[lat.edge_anchors[j]] < s:
             raise NoSPathError(
                 f"no {s}-path: {role} edge {name!r} has fewer than {s} "
                 f"vertices and is pruned",

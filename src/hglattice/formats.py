@@ -33,9 +33,12 @@ def parse_edge_list(text: str) -> Hypergraph:
 
     Blank lines and ``#`` comments are ignored; an edge with no vertices is
     written as ``name:``. Duplicate vertex mentions inside an edge collapse.
+    Lines end at ``\n`` only, a ``\r`` before it is dropped, so ``line N``
+    is the physical line, counted as the CSV parser counts it.
     """
     edges = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
+    for lineno, raw in enumerate(text.split("\n"), start=1):
+        raw = raw.removesuffix("\r")
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -56,8 +59,8 @@ def parse_edge_list(text: str) -> Hypergraph:
 
 
 def _require_writable(kind: str, name: str, forbidden: str):
-    if name.splitlines() != [name] or name != name.strip() or any(
-        ch in name for ch in forbidden
+    if not name or name != name.strip() or any(
+        ch in name for ch in "\n" + forbidden
     ):
         raise ValueError(f"{kind} name {name!r} cannot be written to an edge list")
 
@@ -66,8 +69,9 @@ def format_edge_list(h: Hypergraph) -> str:
     """Edge-list text that ``parse_edge_list`` reads back as the same edges.
 
     Raises ValueError naming the first name the format cannot hold: an
-    empty name, one with leading or trailing whitespace or a line break,
-    one containing ``#`` or ``,``, and an edge name containing ``:``.
+    empty name, one with leading or trailing whitespace or a ``\n``, one
+    containing ``#`` or ``,``, and an edge name containing ``:``. Other
+    line separators, such as form feed or U+2028, are kept inside names.
     Vertices in no edge are not written.
     """
     for name in h.vertex_names:

@@ -90,10 +90,18 @@ class ConceptLattice:
     compressed sparse row form ``(offsets, uppers, neighbours)``. Node i's
     row ``neighbours[offsets[i]:offsets[i + 1]]`` holds its lower covers up
     to ``uppers[i]``, then its upper covers, each part ascending. The
-    per-node indices the queries read (``extent_sizes``, ``intent_bits``,
-    ``anchored_edges``) are set here too. Instances are immutable after
-    construction; ``covers`` and the full containment ``order`` are read
-    off the rows on first use, deterministically.
+    per-node indices the queries read (``extent_sizes``, ``extent_bits``,
+    ``intent_bits``, ``anchored_edges``) are set here too. ``covers`` and
+    the full containment ``order`` are read off the rows on first use,
+    deterministically.
+
+    ``component_memo`` starts empty and is the only state that changes
+    after construction. A path search at overlap s that finds no path has
+    walked its source's whole s-component; it maps ``component_memo[s]``
+    from each edge of that component to the component's bitmask of
+    deduplicated edge indices, so later queries that leave it need no
+    search. The values are exact, so threads that race store equal ones,
+    and ``==`` ignores the memo.
     """
 
     def __init__(
@@ -126,6 +134,7 @@ class ConceptLattice:
             for e, intent in zip(extents, intents)
         )
         self.extent_sizes = tuple(map(int.bit_count, extents))
+        self.extent_bits = tuple(extents)
         self.intent_bits = tuple(intents)
         # Anchor node -> the edges anchored there, ascending; nodes that
         # anchor no edge are absent.
@@ -140,6 +149,7 @@ class ConceptLattice:
         self.cover_adjacency = (
             offsets, uppers, array("i", chain.from_iterable(rows))
         )
+        self.component_memo: dict[int, dict[int, int]] = {}
 
     @property
     def top_index(self) -> int:

@@ -1,3 +1,4 @@
+import hashlib
 import sys
 import threading
 import warnings
@@ -6,6 +7,7 @@ from collections import deque
 import pytest
 
 from conftest import random_dedup_hypergraph
+from hglattice.core import iter_bits
 from hglattice import (
     NoSPathError,
     analytics,
@@ -400,6 +402,107 @@ class TestSharedAdjacency:
             sys.setswitchinterval(interval)
         assert not any(t.is_alive() for t in threads)
         assert results == [expected] * 4
+
+
+def answers_digest(answers):
+    return hashlib.sha256(repr(answers).encode()).hexdigest()
+
+
+def all_pairs(lat, s_values):
+    names = lat.hypergraph.edge_names
+    return [(s, a, b) for s in s_values for a in names for b in names]
+
+
+class TestSearchAnswersPinned:
+    """The search stops early in two ways (the last round walks from one
+    edge; exhausted components are memoised); these digests of every
+    answer were taken before either existed, so tie-breaks cannot move."""
+
+    def test_random_instances(self):
+        answers = []
+        for seed in range(60):
+            lat = build_lattice_naive(random_dedup_hypergraph(seed))
+            answers.append(
+                [path_answer(lat, *q) for q in all_pairs(lat, (1, 2, 3))]
+            )
+        assert answers_digest(answers) == (
+            "d9ad499055ad8d8059de01dbbd213341ba08f171638c23ed540d2b8c5d1c7053"
+        )
+
+    def test_chung_lu_lattice(self):
+        h, _ = dedup_edges(chung_lu_hypergraph(200, 100, 2.2, seed=5))
+        lat = build_lattice_vectorized(h)
+        answers = [path_answer(lat, *q) for q in all_pairs(lat, (1, 2, 3))]
+        assert answers_digest(answers) == (
+            "5ab746eb4d262c5a1cad9386ef75390d446007e3e0f46931d4fb4717348541bf"
+        )
+
+    def test_last_hop_from_a_later_frontier_edge(self):
+        # x's round-1 frontier is f1 (found under {a}), then f2 (under
+        # {b}); f1 misses y and f2 meets it in d. Both walks would pass {g}.
+        lat = build_lattice_naive(
+            from_edge_list(
+                [("x", ["a", "b"]), ("f1", ["a", "c", "g"]),
+                 ("f2", ["b", "d", "g"]), ("y", ["d", "e"])]
+            )
+        )
+        res = shortest_s_path(lat, 1, "x", "y")
+        assert res.hyperedge_path == ("x", "f2", "y")
+        assert res.lattice_path == (5, 2, 8, 4, 6)
+        labels = [extent_names(lat, n) for n in res.lattice_path]
+        assert labels == [{"a", "b"}, {"b"}, {"b", "d", "g"}, {"d"}, {"d", "e"}]
+
+
+class TestComponentMemo:
+    def test_warm_answers_equal_cold_ones(self):
+        for seed in range(60):
+            h = random_dedup_hypergraph(seed)
+            lat, fresh = build_lattice_naive(h), build_lattice_naive(h)
+            queries = all_pairs(lat, (1, 2, 3, 4))
+            first = [path_answer(lat, *q) for q in queries]
+            # the other order memoises other components first
+            second = [path_answer(lat, *q) for q in reversed(queries)][::-1]
+            cold = []
+            for q in queries:
+                fresh.component_memo.clear()
+                cold.append(path_answer(fresh, *q))
+            assert first == second == cold, seed
+            assert lat == fresh
+
+    def test_recorded_components_are_s_components(self):
+        lats = [build_lattice_naive(random_dedup_hypergraph(seed)) for seed in range(40)]
+        h, _ = dedup_edges(chung_lu_hypergraph(200, 100, 2.2, seed=5))
+        lats.append(build_lattice_vectorized(h))
+        recorded = 0
+        for lat in lats:
+            for s in (1, 2, 3):
+                for q in all_pairs(lat, (s,)):
+                    path_answer(lat, *q)
+                group_of = {}
+                for group in s_connected_components(lat, s):
+                    indices = {lat.edge_aliases[name] for name in group}
+                    group_of.update(dict.fromkeys(indices, indices))
+                for edge, comp in lat.component_memo.get(s, {}).items():
+                    assert set(iter_bits(comp)) == group_of[edge], (s, edge)
+                    recorded += 1
+        assert recorded > 100  # 164 edges are recorded
+
+    def test_memoised_component_answers_without_a_search(self, seven_groups):
+        lat = build_lattice_naive(seven_groups)
+        with pytest.raises(NoSPathError):
+            shortest_s_path(lat, 2, "5", "3")
+        assert set(lat.component_memo[2]) == {
+            lat.resolve_edge("5"), lat.resolve_edge("6")
+        }
+        lat.cover_adjacency = None  # any search would fail on it
+        for source, target in (("6", "1"), ("4", "5"), ("5", "2")):
+            with pytest.raises(NoSPathError) as exc:
+                shortest_s_path(lat, 2, source, target)
+            assert exc.value.reason == "disconnected"
+        with pytest.raises(TypeError):
+            shortest_s_path(lat, 2, "5", "6")
+        with pytest.raises(TypeError):
+            shortest_s_path(lat, 1, "5", "3")
 
 
 def independent_depths(lat):

@@ -246,6 +246,22 @@ class TestEdgeListParser:
         with pytest.raises(ParseError, match="line 3"):
             parse_edge_list("a: x\nb: y\njunk without colon\n")
 
+    @pytest.mark.parametrize("sep", ["\x0c", "\x1c", "\x85", "\u2028", "\u2029"])
+    def test_only_newline_ends_a_line(self, sep):
+        # str.splitlines() would break at each of these: the error must
+        # name the physical line, and a separator inside a name stays in it
+        with pytest.raises(ParseError, match="^line 2: .*'e2 c'"):
+            parse_edge_list(f"e1: a, b{sep}\ne2 c\n")
+        h = parse_edge_list(f"e1: a{sep}b\n")
+        assert h.edge_names == ("e1",)
+        assert h.vertex_names == (f"a{sep}b",)
+
+    def test_crlf_line_ends(self):
+        h = parse_edge_list("e1: a, b\r\ne2: b\r\n\r\n")
+        assert h == parse_edge_list("e1: a, b\ne2: b\n")
+        with pytest.raises(ParseError, match="^line 3: .*'junk'"):
+            parse_edge_list("e1: a\r\n\r\njunk\r\n")
+
     def test_duplicate_edge_name(self):
         with pytest.raises(ParseError, match="dup"):
             parse_edge_list("dup: a\ndup: b\n")
@@ -268,9 +284,11 @@ class TestEdgeListParser:
             ("y#z", [("e1", ["y#z", "w"])]),
             ("a,b", [("a,b", ["w"])]),
             ("e:1", [("e:1", ["x"])]),
+            ("p\nq", [("e1", ["p\nq"])]),
+            ("p\r\nq", [("p\r\nq", ["x"])]),
         ]
         for name, edges in cases:
-            with pytest.raises(ValueError, match=repr(name)):
+            with pytest.raises(ValueError, match=re.escape(repr(name))):
                 format_edge_list(from_edge_list(edges))
 
     @given(
@@ -290,6 +308,11 @@ class TestEdgeListParser:
         except ValueError:
             return
         assert parse_edge_list(text) == h
+
+    def test_writer_keeps_separators_the_reader_keeps(self):
+        names = ["a\x0cb", "a\x85b", "a\u2028b", "a\rb"]
+        h = from_edge_list([(f"e{name}", [name, "w"]) for name in names])
+        assert parse_edge_list(format_edge_list(h)) == h
 
 
 class TestIncidenceCsvParser:
