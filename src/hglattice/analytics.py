@@ -316,7 +316,7 @@ def depth_statistics(lat: ConceptLattice) -> DepthStatistics:
     and to the bottom, by dynamic programming over the (already
     topologically sorted) cover DAG, whose lower and upper covers
     ``lat.cover_adjacency`` keeps apart in each row."""
-    n = len(lat.nodes)
+    n = len(lat)
     offsets, uppers, neighbours = lat.cover_adjacency
 
     min_top = [0] * n

@@ -15,7 +15,7 @@ import warnings
 from pathlib import Path
 
 from . import analytics, formats, generate, lattice, oracle
-from .core import dedup_edges
+from .core import SizeLimitError, dedup_edges
 
 EXIT_OK = 0
 EXIT_PARSE = 1
@@ -41,9 +41,12 @@ def _sniff_format(path: str, text: str) -> str:
 
 
 def _read_input(path: str, fmt: str) -> tuple[str, str]:
-    """The input's format, sniffed when ``fmt`` is ``auto``, and its text."""
+    """The input's format, sniffed when ``fmt`` is ``auto``, and its text
+    with its line ends as stored, so that a name may hold a bare ``\r``
+    as it may in ``parse_edge_list``."""
     try:
-        text = Path(path).read_text(encoding="utf-8-sig")
+        with open(path, encoding="utf-8-sig", newline="") as f:
+            text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CommandError(f"cannot read {path}: {exc}", EXIT_PARSE)
     return (_sniff_format(path, text) if fmt == "auto" else fmt), text
@@ -55,6 +58,10 @@ def _parse(path: str, fmt: str, text: str):
         "lattice": formats.parse_lattice_document,
         "csv": formats.parse_incidence_csv,
     }.get(fmt, formats.parse_edge_list)
+    if fmt == "csv":
+        # The CSV reader gets universal newlines: a bare \r ends a row,
+        # and a line break quoted in a cell reads as \n.
+        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         return parser(text)
     except formats.ParseError as exc:
@@ -94,17 +101,16 @@ def _cmd_build(args) -> int:
     lat = builder(h)
     if args.verify:
         try:
-            concepts = lattice.enumerate_concepts_oracle(lat.hypergraph)
+            concepts = oracle.enumerate_concepts_oracle(lat.hypergraph)
             complex_sets = oracle.intersection_complex_bruteforce(lat.hypergraph)
-        except lattice.SizeLimitError as exc:
+        except SizeLimitError as exc:
             raise CommandError(f"verification refused: {exc}", EXIT_VERIFY)
-        check = lattice.verify_isomorphism(lat, concepts)
+        check = oracle.verify_isomorphism(lat, concepts)
         if not check:
             raise CommandError(
                 f"verification failed: {check.detail}", EXIT_VERIFY
             )
-        lattice_extents = {c.extent for c in lat.nodes}
-        if lattice_extents != set(complex_sets):
+        if set(lat.extent_bits) != {v.bits for v in complex_sets}:
             raise CommandError(
                 "verification failed: lattice extents differ from the "
                 "brute-force intersection family",

@@ -165,11 +165,11 @@ def serialize_lattice(lat: ConceptLattice) -> str:
     anchored = lat.anchored_edges
     nodes = [
         f'{{\n      "id": {i},\n'
-        f'      "extent": {_block([vertices[k] for k in c.extent], 6)},\n'
-        f'      "intent": {_block([edges[j] for j in c.intent], 6)},\n'
+        f'      "extent": {_block([vertices[k] for k in iter_bits(extent)], 6)},\n'
+        f'      "intent": {_block([edges[j] for j in iter_bits(intent)], 6)},\n'
         f'      "introduces": {_block([edges[j] for j in anchored.get(i, ())], 6)}\n'
         "    }"
-        for i, c in enumerate(lat.nodes)
+        for i, (extent, intent) in enumerate(zip(lat.extent_bits, lat.intent_bits))
     ]
     covers = [f"[\n      {lo},\n      {hi}\n    ]" for lo, hi in lat.covers]
     return (
@@ -309,10 +309,10 @@ def document_to_lattice(doc: dict) -> ConceptLattice:
     for i, x in enumerate(extents):
         _require(x in found, f"extent {i} is not the AND of its intent's columns")
     lat = ConceptLattice(h, found, aliases)
-    _require([node.extent.bits for node in lat.nodes] == extents,
+    _require(list(lat.extent_bits) == extents,
              "node extents must be distinct and in canonical order")
-    for i, node in enumerate(lat.nodes):
-        _require(node.intent.bits == intents[i],
+    for i, intent in enumerate(lat.intent_bits):
+        _require(intent == intents[i],
                  f"node {i}: stored intent disagrees with edge columns")
     covers = [[lo, hi] for lo, hi in lat.covers]
     _require(_field(doc, "covers", list, "document") == covers,
@@ -344,7 +344,7 @@ def lattice_to_dot(lat: ConceptLattice) -> str:
         "  rankdir=BT;",
         '  node [shape=box, fontname="Helvetica"];',
     ]
-    for i in range(len(lat.nodes)):
+    for i in range(len(lat)):
         label = (
             lat.node_label(i)
             .replace("\\", "\\\\")

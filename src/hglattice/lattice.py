@@ -23,8 +23,9 @@ which orders the nodes canonically, anchors the edges and reads the
 intents off the covers: X's intent is the set of edges anchored at X or
 above it (the reduced labels of Ganter & Wille, 1999). The two builders'
 outputs must compare equal byte for byte; the test suite enforces that,
-plus agreement with an independent powerset enumeration of the concepts by
-the prime operators.
+plus agreement with the powerset enumeration of the concepts by the prime
+operators in ``oracle``. This module holds the builders, the lattice and
+its labels only.
 """
 
 from __future__ import annotations
@@ -33,30 +34,15 @@ import warnings
 from array import array
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import accumulate, chain, combinations
+from itertools import accumulate, chain
 from typing import Iterable, Iterator
 
-from .core import (
-    BRUTE_FORCE_EDGE_LIMIT,
-    BitVec,
-    EdgeSet,
-    Hypergraph,
-    IncidenceMatrix,
-    SizeLimitError,
-    VertexSet,
-    dedup_edges,
-    extent_prime,
-    intent_prime,
-    iter_bits,
-)
+from .core import Hypergraph, IncidenceMatrix, dedup_edges, iter_bits
 
 
-@dataclass(frozen=True)
-class Concept:
-    """A closed (extent, intent) pair: each prime-maps to the other."""
-
-    extent: VertexSet
-    intent: EdgeSet
+def _names(table: tuple[str, ...], bits: int) -> tuple[str, ...]:
+    """The names in ``table`` at the set bits of ``bits``, ascending."""
+    return tuple(table[k] for k in iter_bits(bits))
 
 
 @dataclass(frozen=True)
@@ -79,21 +65,22 @@ class ConceptLattice:
     Nodes are sorted by (extent cardinality, extent index tuple), which is
     a topological order of the cover DAG from bottom to top, so the bottom
     is node 0 and the top (the full vertex set) the last node.
-    ``edge_anchors[j]`` is the node whose extent equals column j. An edge
-    contains an extent exactly when its anchor lies at or above that
-    extent's node, so a node's intent is the union of the edges anchored
-    at it or above it. ``edge_aliases`` maps every edge name of the source
-    hypergraph, duplicates included, to its deduplicated edge index.
+    Node i is stored once, as plain ints: ``extent_bits[i]`` (bit k for
+    vertex k), ``intent_bits[i]`` (bit j for deduplicated edge j) and
+    ``extent_sizes[i]``. ``edge_anchors[j]`` is the node whose extent
+    equals column j. An edge contains an extent exactly when its anchor
+    lies at or above that extent's node, so a node's intent is the union
+    of the edges anchored at it or above it. ``anchored_edges`` maps each
+    anchor node to its edges. ``edge_aliases`` maps every edge name of the
+    source hypergraph, duplicates included, to its deduplicated edge index.
 
     The covers are the only stored order: each node's lower covers are
     packed once into ``cover_adjacency``, the covers read undirected in
     compressed sparse row form ``(offsets, uppers, neighbours)``. Node i's
     row ``neighbours[offsets[i]:offsets[i + 1]]`` holds its lower covers up
     to ``uppers[i]``, then its upper covers, each part ascending. The
-    per-node indices the queries read (``extent_sizes``, ``extent_bits``,
-    ``intent_bits``, ``anchored_edges``) are set here too. ``covers`` and
-    the full containment ``order`` are read off the rows on first use,
-    deterministically.
+    ``covers`` pairs are read off the rows on first use, deterministically;
+    containment is their transitive closure and is never stored.
 
     ``component_memo`` starts empty and is the only state that changes
     after construction. A path search at overlap s that finds no path has
@@ -128,11 +115,6 @@ class ConceptLattice:
         for i in range(len(rows) - 1, -1, -1):
             for k in rows[i]:
                 intents[k] |= intents[i]
-        nv, ne = hypergraph.n_vertices, hypergraph.n_edges
-        self.nodes = tuple(
-            Concept(BitVec(nv, e), BitVec(ne, intent))
-            for e, intent in zip(extents, intents)
-        )
         self.extent_sizes = tuple(map(int.bit_count, extents))
         self.extent_bits = tuple(extents)
         self.intent_bits = tuple(intents)
@@ -154,7 +136,7 @@ class ConceptLattice:
     @property
     def top_index(self) -> int:
         """The full vertex set, the largest extent."""
-        return len(self.nodes) - 1
+        return len(self.extent_bits) - 1
 
     @property
     def bottom_index(self) -> int:
@@ -162,14 +144,15 @@ class ConceptLattice:
         return 0
 
     def __len__(self) -> int:
-        return len(self.nodes)
+        return len(self.extent_bits)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ConceptLattice):
             return NotImplemented
         return (
             self.hypergraph == other.hypergraph
-            and self.nodes == other.nodes
+            and self.extent_bits == other.extent_bits
+            and self.intent_bits == other.intent_bits
             and self.cover_adjacency == other.cover_adjacency
             and self.edge_anchors == other.edge_anchors
             and self.edge_aliases == other.edge_aliases
@@ -178,33 +161,13 @@ class ConceptLattice:
     __hash__ = None
 
     @cached_property
-    def order(self) -> frozenset[tuple[int, int]]:
-        """Full containment order as (lower, upper) pairs, reflexive pairs
-        included: (i, j) is present exactly when extent_i is a subset of
-        extent_j.
-
-        Upper covers sort after the node, so walking down from the top
-        sees every upper cover's set of supersets complete.
-        """
-        offsets, uppers, neighbours = self.cover_adjacency
-        up = [0] * len(self.nodes)
-        pairs = set()
-        for i in range(len(self.nodes) - 1, -1, -1):
-            acc = 1 << i
-            for k in neighbours[uppers[i]:offsets[i + 1]]:
-                acc |= up[k]
-            up[i] = acc
-            pairs.update((i, j) for j in iter_bits(acc))
-        return frozenset(pairs)
-
-    @cached_property
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Transitive reduction of the strict order: (lower, upper) pairs,
         ascending."""
         offsets, uppers, neighbours = self.cover_adjacency
         return tuple(
             (i, j)
-            for i in range(len(self.nodes))
+            for i in range(len(self))
             for j in neighbours[uppers[i]:offsets[i + 1]]
         )
 
@@ -213,9 +176,9 @@ class ConceptLattice:
 
     def node_label(self, node: int) -> str:
         """Galois label ``{extent names} : {intent names}``."""
-        c = self.nodes[node]
-        ext = ",".join(self.hypergraph.vertex_names_of(c.extent))
-        intn = ",".join(self.hypergraph.edge_names_of(c.intent))
+        h = self.hypergraph
+        ext = ",".join(_names(h.vertex_names, self.extent_bits[node]))
+        intn = ",".join(_names(h.edge_names, self.intent_bits[node]))
         return "{%s} : {%s}" % (ext, intn)
 
     def resolve_edge(self, name: str) -> int:
@@ -372,105 +335,17 @@ def build_lattice_vectorized(h: Hypergraph) -> ConceptLattice:
     )
 
 
-def enumerate_concepts_oracle(h: Hypergraph) -> frozenset[Concept]:
-    """All concepts by brute force: close every subset of the edge set.
-
-    Enumerates the full powerset of edges, so it refuses inputs with more
-    than BRUTE_FORCE_EDGE_LIMIT edges. Deliberately independent of the
-    builders; only the prime operators are shared.
-    """
-    ne = h.n_edges
-    if ne > BRUTE_FORCE_EDGE_LIMIT:
-        raise SizeLimitError(
-            f"concept enumeration is limited to {BRUTE_FORCE_EDGE_LIMIT} "
-            f"edges; got {ne}"
-        )
-    found = set()
-    for bits in range(1 << ne):
-        extent = extent_prime(h, BitVec(ne, bits))
-        intent = intent_prime(h, extent)
-        found.add(Concept(extent, intent))
-    return frozenset(found)
-
-
-class IsomorphismResult:
-    """Truthy on success; carries a diagnostic for the first mismatch."""
-
-    def __init__(self, ok: bool, detail: str = ""):
-        self.ok = ok
-        self.detail = detail
-
-    def __bool__(self) -> bool:
-        return self.ok
-
-    def __repr__(self) -> str:
-        return f"IsomorphismResult(ok={self.ok}, detail={self.detail!r})"
-
-
-def verify_isomorphism(lat: ConceptLattice, concepts) -> IsomorphismResult:
-    """Check that a lattice realizes a concept set, extent for extent.
-
-    The lattice's extents must coincide with the concepts' extents, intents
-    must agree per extent, and the order derived from the stored covers
-    must match recomputed containment of the concept extents. ``concepts``
-    should come from the same (deduplicated) hypergraph the lattice was
-    built over.
-    """
-    concepts = list(concepts)
-    by_extent = {}
-    for c in concepts:
-        by_extent[c.extent.bits] = c
-
-    lattice_extents = {c.extent.bits for c in lat.nodes}
-    oracle_extents = set(by_extent)
-    missing = oracle_extents - lattice_extents
-    if missing:
-        bits = next(iter(missing))
-        return IsomorphismResult(
-            False, f"extent {sorted(iter_bits(bits))} missing from lattice"
-        )
-    extra = lattice_extents - oracle_extents
-    if extra:
-        bits = next(iter(extra))
-        return IsomorphismResult(
-            False, f"lattice extent {sorted(iter_bits(bits))} is not a concept"
-        )
-
-    for i, node in enumerate(lat.nodes):
-        expected = by_extent[node.extent.bits].intent
-        if node.intent != expected:
-            return IsomorphismResult(
-                False,
-                f"node {i}: intent {node.intent.indices()} != "
-                f"concept intent {expected.indices()}",
-            )
-
-    order = lat.order
-    index = {c.extent.bits: i for i, c in enumerate(lat.nodes)}
-    for c, d in combinations(concepts, 2):
-        for lo, hi in ((c, d), (d, c)):
-            should = lo.extent.issubset(hi.extent)
-            stored = (index[lo.extent.bits], index[hi.extent.bits]) in order
-            if should != stored:
-                return IsomorphismResult(
-                    False,
-                    f"order disagrees on extents {lo.extent.indices()} vs "
-                    f"{hi.extent.indices()}",
-                )
-    return IsomorphismResult(True)
-
-
 def galois_labels(lat: ConceptLattice) -> list[GaloisLabel]:
     """Per-node name-level labels, including the edges each node introduces."""
     h = lat.hypergraph
     anchored = lat.anchored_edges
     out = []
-    for i, c in enumerate(lat.nodes):
+    for i, (extent, intent) in enumerate(zip(lat.extent_bits, lat.intent_bits)):
         out.append(
             GaloisLabel(
                 node=i,
-                extent_names=h.vertex_names_of(c.extent),
-                intent_names=h.edge_names_of(c.intent),
+                extent_names=_names(h.vertex_names, extent),
+                intent_names=_names(h.edge_names, intent),
                 introduced_edges=tuple(
                     h.edge_names[j] for j in anchored.get(i, ())
                 ),

@@ -1,10 +1,14 @@
-"""Brute-force reference implementations for cross-checking query results.
+"""Brute-force reference implementations for cross-checking the lattice
+and the query results.
 
 Everything here is deliberately naive: the s-line graph is built from all
 pairwise overlaps, paths come from plain BFS on it, and the intersection
-family is enumerated over the whole powerset of edges. These functions
-share nothing with the lattice machinery beyond the core primitives, so
-they serve as independent ground truth in tests and in the CLI verify mode.
+family and the concepts are enumerated over the whole powerset of edges.
+``verify_isomorphism`` checks a lattice against those concepts: extents,
+intents, and its stored covers against the transitive reduction of extent
+containment, worked out here. This module imports only the core
+primitives, none of the lattice machinery, so it serves as independent
+ground truth in tests and in the CLI verify mode.
 """
 
 from __future__ import annotations
@@ -16,9 +20,13 @@ from itertools import combinations
 from .core import (
     BRUTE_FORCE_EDGE_LIMIT,
     BitVec,
+    EdgeSet,
     Hypergraph,
     SizeLimitError,
     VertexSet,
+    extent_prime,
+    intent_prime,
+    iter_bits,
     overlap_size,
 )
 
@@ -128,3 +136,111 @@ def intersection_complex_bruteforce(h: Hypergraph) -> frozenset[VertexSet]:
             rest ^= low
         found.add(acc)
     return frozenset(BitVec(nv, bits) for bits in found)
+
+
+@dataclass(frozen=True)
+class Concept:
+    """A closed (extent, intent) pair: each prime-maps to the other."""
+
+    extent: VertexSet
+    intent: EdgeSet
+
+
+def enumerate_concepts_oracle(h: Hypergraph) -> frozenset[Concept]:
+    """All concepts by brute force: close every subset of the edge set.
+
+    Enumerates the full powerset of edges, so it refuses inputs with more
+    than BRUTE_FORCE_EDGE_LIMIT edges. Deliberately independent of the
+    builders; only the prime operators are shared.
+    """
+    ne = h.n_edges
+    if ne > BRUTE_FORCE_EDGE_LIMIT:
+        raise SizeLimitError(
+            f"concept enumeration is limited to {BRUTE_FORCE_EDGE_LIMIT} "
+            f"edges; got {ne}"
+        )
+    found = set()
+    for bits in range(1 << ne):
+        extent = extent_prime(h, BitVec(ne, bits))
+        intent = intent_prime(h, extent)
+        found.add(Concept(extent, intent))
+    return frozenset(found)
+
+
+class IsomorphismResult:
+    """Truthy on success; carries a diagnostic for the first mismatch."""
+
+    def __init__(self, ok: bool, detail: str = ""):
+        self.ok = ok
+        self.detail = detail
+
+    def __bool__(self) -> bool:
+        return self.ok
+
+    def __repr__(self) -> str:
+        return f"IsomorphismResult(ok={self.ok}, detail={self.detail!r})"
+
+
+def _containment_covers(extents) -> set[tuple[int, int]]:
+    """(lower, upper) extent pairs of the transitive reduction of strict
+    containment: the upper covers of X are its minimal strict supersets."""
+    by_size = sorted(extents, key=int.bit_count)
+    pairs = set()
+    for x in by_size:
+        # By size, a superset with a kept one inside it is not minimal.
+        kept: list[int] = []
+        for y in by_size:
+            if y != x and x & y == x and not any(z & y == z for z in kept):
+                kept.append(y)
+        pairs.update((x, y) for y in kept)
+    return pairs
+
+
+def verify_isomorphism(lat, concepts) -> IsomorphismResult:
+    """Check that a ``ConceptLattice`` realizes a concept set, extent for
+    extent.
+
+    The lattice's extents must coincide with the concepts' extents, intents
+    must agree per extent, and the stored covers must be exactly the
+    transitive reduction of containment among the concept extents.
+    ``concepts`` should come from the same (deduplicated) hypergraph the
+    lattice was built over.
+    """
+    by_extent = {c.extent.bits: c.intent.bits for c in concepts}
+    extents = lat.extent_bits
+    missing = by_extent.keys() - set(extents)
+    if missing:
+        bits = next(iter(missing))
+        return IsomorphismResult(
+            False, f"extent {sorted(iter_bits(bits))} missing from lattice"
+        )
+    extra = set(extents) - by_extent.keys()
+    if extra:
+        bits = next(iter(extra))
+        return IsomorphismResult(
+            False, f"lattice extent {sorted(iter_bits(bits))} is not a concept"
+        )
+
+    for i, (x, intent) in enumerate(zip(extents, lat.intent_bits)):
+        if intent != by_extent[x]:
+            return IsomorphismResult(
+                False,
+                f"node {i}: intent {tuple(iter_bits(intent))} != "
+                f"concept intent {tuple(iter_bits(by_extent[x]))}",
+            )
+
+    stored = {(extents[lo], extents[hi]) for lo, hi in lat.covers}
+    wrong = stored ^ _containment_covers(by_extent)
+    if wrong:
+        x, y = min(wrong)
+        node = {e: i for i, e in enumerate(extents)}
+        fault = (
+            "is not in the transitive reduction of extent containment"
+            if (x, y) in stored else "is missing from the lattice"
+        )
+        return IsomorphismResult(
+            False,
+            f"cover ({node[x]}, {node[y]}) between extents "
+            f"{sorted(iter_bits(x))} and {sorted(iter_bits(y))} {fault}",
+        )
+    return IsomorphismResult(True)

@@ -70,6 +70,26 @@ def random_dedup_hypergraph(seed: int) -> Hypergraph:
     return reduced
 
 
+def containment_from_covers(lat) -> set[tuple[int, int]]:
+    """(lower, upper) node pairs, reflexive ones included, of the order the
+    stored covers generate: upper is reached from lower by going up zero or
+    more covers."""
+    ups = [[] for _ in range(len(lat))]
+    for lo, hi in lat.covers:
+        ups[lo].append(hi)
+    pairs = set()
+    for i in range(len(lat)):
+        seen = {i}
+        stack = [i]
+        while stack:
+            for j in ups[stack.pop()]:
+                if j not in seen:
+                    seen.add(j)
+                    stack.append(j)
+        pairs.update((i, j) for j in seen)
+    return pairs
+
+
 @pytest.fixture(scope="session")
 def seven_groups():
     return parse_incidence_csv(SEVEN_GROUPS_CSV)

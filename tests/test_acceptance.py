@@ -12,7 +12,12 @@ import warnings
 
 import pytest
 
-from conftest import SEVEN_GROUPS_CONCEPTS, SEVEN_GROUPS_CSV, random_hypergraph
+from conftest import (
+    SEVEN_GROUPS_CONCEPTS,
+    SEVEN_GROUPS_CSV,
+    containment_from_covers,
+    random_hypergraph,
+)
 from hglattice import (
     NoSPathError,
     build_lattice_naive,
@@ -33,7 +38,7 @@ from hglattice import (
     shortest_s_path,
     verify_isomorphism,
 )
-from hglattice.core import Hypergraph, IncidenceMatrix
+from hglattice.core import Hypergraph, IncidenceMatrix, iter_bits
 
 from test_analytics import independent_depths
 
@@ -68,18 +73,19 @@ def test_criterion_1_seven_groups_lattice():
     elapsed = time.perf_counter() - t0
     pairs = [
         (
-            set(h.vertex_names_of(c.extent)),
-            set(h.edge_names_of(c.intent)),
+            {h.vertex_names[k] for k in iter_bits(extent)},
+            {h.edge_names[j] for j in iter_bits(intent)},
         )
-        for c in lat.nodes
+        for extent, intent in zip(lat.extent_bits, lat.intent_bits)
     ]
     assert len(pairs) == 13
     for expected in SEVEN_GROUPS_CONCEPTS:
         assert expected in pairs
+    order = containment_from_covers(lat)
     for i in range(13):
         for j in range(13):
-            contained = lat.nodes[i].extent.issubset(lat.nodes[j].extent)
-            assert ((i, j) in lat.order) == contained
+            a, b = lat.extent_bits[i], lat.extent_bits[j]
+            assert ((i, j) in order) == (a & b == a)
     assert elapsed < 1.0, f"build took {elapsed:.3f} s"
 
 
@@ -91,7 +97,7 @@ def test_criterion_2_isomorphism_suite():
         h, _ = dedup_edges(random_hypergraph(seed))
         lat = build_lattice_naive(h)
         family = intersection_complex_bruteforce(h)
-        assert frozenset(c.extent for c in lat.nodes) == family, seed
+        assert {v.bits for v in family} == set(lat.extent_bits), seed
         assert verify_isomorphism(lat, enumerate_concepts_oracle(h)), seed
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0, f"suite took {elapsed:.1f} s"
@@ -264,7 +270,7 @@ def test_criterion_7_depth_statistics():
     lat2 = build_lattice_vectorized(h)
     assert depth_histograms(lat1) == depth_histograms(lat2)
     stats = depth_statistics(lat1)
-    for i in range(len(lat1.nodes)):
+    for i in range(len(lat1)):
         assert stats.min_to_top[i] <= stats.max_to_top[i]
         assert stats.min_to_bottom[i] <= stats.max_to_bottom[i]
 

@@ -31,7 +31,8 @@ from hglattice import (
 
 
 def extent_names(lat, node):
-    return set(lat.hypergraph.vertex_names_of(lat.nodes[node].extent))
+    names = lat.hypergraph.vertex_names
+    return {names[k] for k in iter_bits(lat.extent_bits[node])}
 
 
 class TestPrune:
@@ -296,8 +297,8 @@ class TestSharedAdjacency:
             for s in range(1, lat.hypergraph.n_vertices + 2):
                 view = prune(lat, s)
                 retained = {
-                    i for i, c in enumerate(lat.nodes)
-                    if c.extent.count >= s and (i != top or lat.is_anchor(top))
+                    i for i, extent in enumerate(lat.extent_bits)
+                    if extent.bit_count() >= s and (i != top or lat.is_anchor(top))
                 }
                 assert view.retained == retained, (seed, s)
                 expected = {i: set() for i in retained}
@@ -508,7 +509,7 @@ class TestComponentMemo:
 def independent_depths(lat):
     """Plain BFS for shortest and DAG relaxation for longest cover paths,
     written against the public covers relation only."""
-    n = len(lat.nodes)
+    n = len(lat)
     ups = {i: set() for i in range(n)}
     downs = {i: set() for i in range(n)}
     for lo, hi in lat.covers:
@@ -531,7 +532,7 @@ def independent_depths(lat):
 
     def longest_from(start, neighbors):
         best = {start: 0}
-        order = sorted(range(n), key=lambda i: lat.nodes[i].extent.count)
+        order = sorted(range(n), key=lambda i: lat.extent_bits[i].bit_count())
         if neighbors is downs:
             order.reverse()
         for x in order:
@@ -593,7 +594,7 @@ class TestDepthStatistics:
             lat = build_lattice_naive(random_dedup_hypergraph(seed))
             stats = depth_statistics(lat)
             span = stats.min_to_top[lat.bottom_index]
-            for i in range(len(lat.nodes)):
+            for i in range(len(lat)):
                 assert stats.min_to_top[i] <= stats.max_to_top[i]
                 assert stats.min_to_bottom[i] <= stats.max_to_bottom[i]
                 assert stats.min_to_top[i] + stats.min_to_bottom[i] >= span

@@ -5,7 +5,13 @@ import warnings
 import pytest
 
 from conftest import SEVEN_GROUPS_CSV
-from hglattice import ConceptLattice, lattice, parse_edge_list
+from hglattice import (
+    ConceptLattice,
+    format_edge_list,
+    from_edge_list,
+    lattice,
+    parse_edge_list,
+)
 from hglattice.cli import main
 
 
@@ -197,6 +203,59 @@ class TestComponents:
         assert code == 0, err
 
 
+class TestLineEnds:
+    """Inputs are read with their line ends as stored: an edge list ends
+    lines at \\n only, as ``parse_edge_list`` does, and a CSV file keeps
+    the rows that universal newlines give it."""
+
+    def test_edge_list_name_with_bare_carriage_return(self, capsys, tmp_path):
+        h = from_edge_list([("e1", ["a\rb", "c"]), ("e2", ["a\rb"])])
+        text = format_edge_list(h)
+        assert text == "e1: a\rb, c\ne2: a\rb\n"
+        assert parse_edge_list(text) == h
+        path = tmp_path / "cr.edges"
+        path.write_bytes(text.encode())
+        code, out, err = run(capsys, "components", str(path), "--s", "1")
+        assert code == 0, err
+        assert json.loads(out) == [["e1", "e2"]]
+        code, out, err = run(capsys, "build", str(path))
+        assert code == 0, err
+        assert json.loads(out)["hypergraph"]["vertices"] == ["a\rb", "c"]
+
+    def test_edge_list_with_crlf(self, capsys, tmp_path):
+        path = tmp_path / "crlf.edges"
+        path.write_bytes(b"e1: a, b\r\ne2: b, c\r\n")
+        code, out, err = run(capsys, "build", str(path))
+        assert code == 0, err
+        hg = json.loads(out)["hypergraph"]
+        assert (hg["vertices"], hg["edges"]) == (["a", "b", "c"], ["e1", "e2"])
+
+    @pytest.mark.parametrize(
+        "data, vertices",
+        [
+            (b',e1,e2\r\n"x\r\ny",1,0\r\nz,1,1\r\n', ["x\ny", "z"]),
+            (b',e1,e2\n"x\ny",1,0\nz,1,1\n', ["x\ny", "z"]),
+            (b",e1,e2\rv1,1,0\rv2,1,1\r", ["v1", "v2"]),
+        ],
+        ids=["crlf-quoted-break", "lf-quoted-break", "bare-cr"],
+    )
+    def test_csv_rows(self, capsys, tmp_path, data, vertices):
+        path = tmp_path / "in.csv"
+        path.write_bytes(data)
+        code, out, err = run(capsys, "build", str(path))
+        assert code == 0, err
+        assert json.loads(out)["hypergraph"]["vertices"] == vertices
+
+    def test_csv_crlf_error_names_the_physical_line(self, capsys, tmp_path):
+        path = tmp_path / "bad.csv"
+        path.write_bytes(b',e1\r\nv1,1\r\n"v\r\n2",x\r\n')
+        code, _, err = run(capsys, "build", str(path))
+        assert code == 1
+        assert err == (
+            f"error: {path}: line 4, column 2: expected 0 or 1, got 'x'\n"
+        )
+
+
 class TestStats:
     def test_seven_groups(self, capsys, groups_csv):
         code, out, _ = run(capsys, "stats", groups_csv)
@@ -326,7 +385,7 @@ class TestBench:
         def one_cover_short(h):
             lat = real(h)
             offsets, uppers, neighbours = lat.cover_adjacency
-            extents = [c.extent.bits for c in lat.nodes]
+            extents = lat.extent_bits
             found = {
                 extents[i]: [extents[j] for j in neighbours[offsets[i]:uppers[i]]]
                 for i in range(len(lat))
@@ -338,6 +397,32 @@ class TestBench:
         code, _, err = run(capsys, "bench", "--sizes", "10")
         assert code == 2
         assert "disagreement" in err
+
+    def test_build_verify_implied_cover_exit_2(self, capsys, groups_csv, monkeypatch):
+        # One cover too many, bottom below top: every extent and intent is
+        # right and the order they generate too; only the covers are wrong.
+        real = lattice.build_lattice_vectorized
+
+        def implied_cover(h):
+            lat = real(h)
+            offsets, uppers, neighbours = lat.cover_adjacency
+            extents = lat.extent_bits
+            found = {
+                extents[i]: [extents[j] for j in neighbours[offsets[i]:uppers[i]]]
+                for i in range(len(lat))
+            }
+            found[extents[lat.top_index]].append(extents[lat.bottom_index])
+            return ConceptLattice(lat.hypergraph, found, lat.edge_aliases)
+
+        monkeypatch.setattr(lattice, "build_lattice_vectorized", implied_cover)
+        code, out, err = run(capsys, "build", groups_csv, "--verify")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: verification failed: cover (0, 12) between extents [] "
+            "and [0, 1, 2, 3, 4, 5, 6] is not in the transitive reduction "
+            "of extent containment\n"
+        )
 
     def test_bad_sizes(self, capsys):
         code, _, err = run(capsys, "bench", "--sizes", "ten")

@@ -92,14 +92,14 @@ class TestIncidenceRows:
         # map, and on the lattice node whose extent is the closure of {k}.
         h = random_hypergraph(seed)
         lat = build_lattice_vectorized(h)
-        node_of = {c.extent.bits: c for c in lat.nodes}
+        intent_of = dict(zip(lat.extent_bits, lat.intent_bits))
         for k in range(h.n_vertices):
             row = intent_prime(h, BitVec.of(h.n_vertices, [k])).bits
             for j, col in enumerate(h.chi.columns):
                 assert (row >> j) & 1 == (col >> k) & 1
             vertex = BitVec.of(lat.hypergraph.n_vertices, [k])
-            node = node_of[closure(lat.hypergraph, vertex).bits]
-            assert node.intent == intent_prime(lat.hypergraph, vertex)
+            intent = intent_of[closure(lat.hypergraph, vertex).bits]
+            assert intent == intent_prime(lat.hypergraph, vertex).bits
 
 
 class TestClosure:

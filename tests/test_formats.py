@@ -27,6 +27,7 @@ from hglattice import (
     parse_lattice_document,
     serialize_lattice,
 )
+from hglattice.core import iter_bits
 
 from test_acceptance import RANDOM_SEEDS, build_quiet
 
@@ -214,10 +215,10 @@ def concept_names(lat):
     h = lat.hypergraph
     return {
         (
-            frozenset(h.vertex_names_of(c.extent)),
-            frozenset(h.edge_names_of(c.intent)),
+            frozenset(h.vertex_names[k] for k in iter_bits(extent)),
+            frozenset(h.edge_names[j] for j in iter_bits(intent)),
         )
-        for c in lat.nodes
+        for extent, intent in zip(lat.extent_bits, lat.intent_bits)
     }
 
 

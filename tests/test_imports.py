@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -20,3 +21,17 @@ def test_import_leaves_numpy_out():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+def test_oracle_imports_only_core():
+    # The oracle is the independent check of the lattice code, so it may
+    # share the core primitives but nothing else of the package.
+    tree = ast.parse((SRC / "hglattice" / "oracle.py").read_text())
+    relative, absolute = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            (relative if node.level else absolute).add(node.module)
+        elif isinstance(node, ast.Import):
+            absolute.update(alias.name for alias in node.names)
+    assert relative == {"core"}
+    assert not any(name.split(".")[0] == "hglattice" for name in absolute)

@@ -4,7 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SEVEN_GROUPS_CONCEPTS, random_dedup_hypergraph
+from conftest import (
+    SEVEN_GROUPS_CONCEPTS,
+    containment_from_covers,
+    random_dedup_hypergraph,
+)
 from hglattice import (
     ConceptLattice,
     SizeLimitError,
@@ -22,16 +26,23 @@ from hglattice import (
     uniform_hypergraph,
     verify_isomorphism,
 )
-from hglattice.core import Hypergraph, IncidenceMatrix, dedup_edges
+from hglattice.core import BitVec, Hypergraph, IncidenceMatrix, dedup_edges, iter_bits
 from hglattice.lattice import concept_neighbours
 
 
 def name_pairs(lat):
     h = lat.hypergraph
     return [
-        (set(h.vertex_names_of(c.extent)), set(h.edge_names_of(c.intent)))
-        for c in lat.nodes
+        (
+            {h.vertex_names[k] for k in iter_bits(extent)},
+            {h.edge_names[j] for j in iter_bits(intent)},
+        )
+        for extent, intent in zip(lat.extent_bits, lat.intent_bits)
     ]
+
+
+def is_subset(a: int, b: int) -> bool:
+    return a & b == a
 
 
 class TestNaiveBuilder:
@@ -44,10 +55,11 @@ class TestNaiveBuilder:
     def test_seven_groups_order_is_containment(self, seven_groups_lattice):
         lat = seven_groups_lattice
         n = len(lat)
+        order = containment_from_covers(lat)
         for i in range(n):
             for j in range(n):
-                contained = lat.nodes[i].extent.issubset(lat.nodes[j].extent)
-                assert ((i, j) in lat.order) == contained
+                contained = is_subset(lat.extent_bits[i], lat.extent_bits[j])
+                assert ((i, j) in order) == contained
 
     def test_single_edge_equal_to_top(self):
         lat = build_lattice_naive(from_edge_list([("1", ["a", "b"])]))
@@ -70,7 +82,7 @@ class TestNaiveBuilder:
         lat = build_lattice_naive(from_edge_list([]))
         assert len(lat) == 1
         assert lat.top_index == lat.bottom_index == 0
-        assert lat.nodes[0].extent.count == 0
+        assert lat.extent_bits[0] == 0
 
     def test_auto_dedup_warns_and_matches(self):
         dup = from_edge_list([("p", ["a", "b"]), ("q", ["a", "b"]), ("r", ["b"])])
@@ -140,7 +152,7 @@ class TestNeighbourRule:
     @settings(max_examples=150, deadline=None)
     def test_superset_meets_give_the_column_answer(self, h, data):
         chi = h.chi
-        extents = [c.extent.bits for c in build_lattice_naive(h).nodes]
+        extents = list(build_lattice_naive(h).extent_bits)
         x = data.draw(st.sampled_from(extents), label="x")
         y = data.draw(
             st.sampled_from([e for e in extents if e & x == e]), label="y"
@@ -157,8 +169,9 @@ class TestNeighbourRule:
         h = chung_lu_hypergraph(400, 200, exponent=2.2, seed=2)
         vect = build_lattice_vectorized(h)
         assert max(depth_histograms(vect).max_to_top) >= 10
-        for node in vect.nodes:
-            assert node.intent == intent_prime(vect.hypergraph, node.extent)
+        nv = vect.hypergraph.n_vertices
+        for extent, intent in zip(vect.extent_bits, vect.intent_bits):
+            assert intent == intent_prime(vect.hypergraph, BitVec(nv, extent)).bits
         assert build_lattice_naive(h) == vect
         text = serialize_lattice(vect)
         again = parse_lattice_document(text)
@@ -170,10 +183,10 @@ class TestConceptOracle:
     def test_seven_groups(self, seven_groups, seven_groups_lattice):
         concepts = enumerate_concepts_oracle(seven_groups)
         assert len(concepts) == 13
-        got = {
-            (c.extent, c.intent) for c in seven_groups_lattice.nodes
-        }
-        assert {(c.extent, c.intent) for c in concepts} == got
+        got = set(
+            zip(seven_groups_lattice.extent_bits, seven_groups_lattice.intent_bits)
+        )
+        assert {(c.extent.bits, c.intent.bits) for c in concepts} == got
 
     def test_single_edge(self):
         h = from_edge_list([("1", ["a", "b"])])
@@ -202,11 +215,26 @@ def upper_covers(lat: ConceptLattice, i: int):
 
 def drop_node(lat: ConceptLattice, victim: int) -> ConceptLattice:
     """Build a structurally consistent lattice object missing one node."""
-    extents = [c.extent.bits for c in lat.nodes]
+    extents = lat.extent_bits
     found = {
         extents[i]: [extents[j] for j in lower_covers(lat, i) if j != victim]
         for i in range(len(lat)) if i != victim
     }
+    return ConceptLattice(lat.hypergraph, found, lat.edge_aliases)
+
+
+def with_covers(lat: ConceptLattice, add=(), drop=()) -> ConceptLattice:
+    """Build the lattice again with the (lower, upper) cover pairs in
+    ``add`` put in and those in ``drop`` left out."""
+    extents = lat.extent_bits
+    found = {
+        extents[i]: [
+            extents[j] for j in lower_covers(lat, i) if (j, i) not in drop
+        ]
+        for i in range(len(lat))
+    }
+    for lo, hi in add:
+        found[extents[hi]].append(extents[lo])
     return ConceptLattice(lat.hypergraph, found, lat.edge_aliases)
 
 
@@ -229,6 +257,37 @@ class TestVerifyIsomorphism:
         check = verify_isomorphism(mutant, enumerate_concepts_oracle(seven_groups))
         assert not check
         assert "missing" in check.detail
+
+    def test_implied_cover_false(self, seven_groups, seven_groups_lattice):
+        # Bottom below top is implied by the other covers, so the nodes and
+        # the containment they generate stay right; only the covers differ.
+        lat = seven_groups_lattice
+        bottom, top = lat.bottom_index, lat.top_index
+        mutant = with_covers(lat, add=[(bottom, top)])
+        assert (bottom, top) in mutant.covers
+        assert mutant.extent_bits == lat.extent_bits
+        assert mutant.intent_bits == lat.intent_bits
+        assert containment_from_covers(mutant) == containment_from_covers(lat)
+        check = verify_isomorphism(mutant, enumerate_concepts_oracle(seven_groups))
+        assert not check
+        assert check.detail == (
+            f"cover ({bottom}, {top}) between extents [] and "
+            "[0, 1, 2, 3, 4, 5, 6] is not in the transitive reduction of "
+            "extent containment"
+        )
+
+    def test_missing_cover_false(self, seven_groups, seven_groups_lattice):
+        # The top's intent is empty, so dropping a cover to it leaves every
+        # intent as it was.
+        lat = seven_groups_lattice
+        top = lat.top_index
+        lower = lower_covers(lat, top)[0]
+        mutant = with_covers(lat, drop=[(lower, top)])
+        assert mutant.intent_bits == lat.intent_bits
+        check = verify_isomorphism(mutant, enumerate_concepts_oracle(seven_groups))
+        assert not check
+        assert check.detail.startswith(f"cover ({lower}, {top}) between extents")
+        assert check.detail.endswith("is missing from the lattice")
 
     def test_random_instances(self):
         for seed in range(60):
@@ -278,11 +337,11 @@ class TestGaloisLabels:
                 for i in range(len(lat)):
                     union = 0
                     for j in upper_covers(lat, i):
-                        union |= lat.nodes[j].intent.bits
-                    expected = lat.nodes[i].intent.bits & ~union
+                        union |= lat.intent_bits[j]
+                    expected = lat.intent_bits[i] & ~union
                     # symmetric difference equals plain difference here because
                     # upper-cover intents are subsets of the node's intent
-                    assert union ^ (union | lat.nodes[i].intent.bits) == expected
+                    assert union ^ (union | lat.intent_bits[i]) == expected
                     introduced = sum(1 << j for j in lat.anchored_edges.get(i, ()))
                     assert introduced == expected
 
@@ -291,11 +350,9 @@ class TestAnchors:
     def test_seven_groups_anchors(self, seven_groups, seven_groups_lattice):
         lat = seven_groups_lattice
         node7 = edge_anchor(lat, "7")
-        assert set(seven_groups.vertex_names_of(lat.nodes[node7].extent)) == {"g"}
+        assert lat.extent_bits[node7] == seven_groups.vertex_subset("g").bits
         node2 = edge_anchor(lat, "2")
-        assert set(seven_groups.vertex_names_of(lat.nodes[node2].extent)) == {
-            "a", "b", "c", "d",
-        }
+        assert lat.extent_bits[node2] == seven_groups.vertex_subset("abcd").bits
 
     def test_single_edge_anchor(self):
         lat = build_lattice_naive(from_edge_list([("1", ["a", "b"])]))
@@ -309,11 +366,11 @@ class TestAnchors:
             lat = build_lattice_naive(h)
             for j, name in enumerate(h.edge_names):
                 node = edge_anchor(lat, name)
-                assert lat.nodes[node].extent == h.edge_column(j)
+                assert lat.extent_bits[node] == h.edge_column(j).bits
 
 
 class TestQueryIndices:
-    """The per-node indices the queries read agree with the nodes and
+    """The per-node indices the queries read agree with the extents and
     anchors they index, for both builders and for a loaded document."""
 
     @pytest.mark.parametrize(
@@ -333,10 +390,14 @@ class TestQueryIndices:
                 warnings.simplefilter("ignore")
                 built = build(h)
             for lat in (built, parse_lattice_document(serialize_lattice(built))):
+                nv = lat.hypergraph.n_vertices
                 assert lat.extent_sizes == tuple(
-                    c.extent.count for c in lat.nodes
+                    map(int.bit_count, lat.extent_bits)
                 )
-                assert lat.intent_bits == tuple(c.intent.bits for c in lat.nodes)
+                assert lat.intent_bits == tuple(
+                    intent_prime(lat.hypergraph, BitVec(nv, extent)).bits
+                    for extent in lat.extent_bits
+                )
                 # Exactly the inverse of edge_anchors: each edge listed once,
                 # under its anchor, and no node listed empty.
                 pairs = sorted(
@@ -351,18 +412,18 @@ class TestQueryIndices:
 class TestLatticeLaws:
     def test_meets_exist(self, seven_groups_lattice):
         lat = seven_groups_lattice
-        extents = {c.extent.bits for c in lat.nodes}
-        for a in lat.nodes:
-            for b in lat.nodes:
-                assert a.extent.bits & b.extent.bits in extents
+        extents = set(lat.extent_bits)
+        for a in extents:
+            for b in extents:
+                assert a & b in extents
 
     def test_meets_exist_random(self):
         for seed in range(30):
             lat = build_lattice_naive(random_dedup_hypergraph(seed))
-            extents = {c.extent.bits for c in lat.nodes}
-            for a in lat.nodes:
-                for b in lat.nodes:
-                    assert a.extent.bits & b.extent.bits in extents
+            extents = set(lat.extent_bits)
+            for a in extents:
+                for b in extents:
+                    assert a & b in extents
 
     def test_covers_are_transitive_reduction(self):
         for seed in range(30):
@@ -372,7 +433,7 @@ class TestLatticeLaws:
             above = [
                 {
                     j for j in range(n)
-                    if j != i and lat.nodes[i].extent.issubset(lat.nodes[j].extent)
+                    if j != i and is_subset(lat.extent_bits[i], lat.extent_bits[j])
                 }
                 for i in range(n)
             ]
@@ -386,10 +447,6 @@ class TestLatticeLaws:
             for i in range(n):
                 for j in upper_covers(lat, i):
                     assert not any(j in above[k] for k in above[i])
-
-    def test_order_is_reflexive(self, seven_groups_lattice):
-        for i in range(len(seven_groups_lattice)):
-            assert (i, i) in seven_groups_lattice.order
 
     @pytest.mark.parametrize("builder", [build_lattice_naive, build_lattice_vectorized])
     def test_canonical_order_puts_bottom_first_and_top_last(self, builder):
@@ -405,12 +462,13 @@ class TestLatticeLaws:
             full = meet = (1 << h.n_vertices) - 1
             for col in h.chi.columns:
                 meet &= col
-            assert lat.nodes[lat.top_index].extent.bits == full
-            assert lat.nodes[lat.bottom_index].extent.bits == meet
+            assert lat.extent_bits[lat.top_index] == full
+            assert lat.extent_bits[lat.bottom_index] == meet
+            order = containment_from_covers(lat)
             for i in range(len(lat)):
-                assert (i, lat.top_index) in lat.order
-                assert (lat.bottom_index, i) in lat.order
-            extents = [c.extent.bits for c in lat.nodes]
+                assert (i, lat.top_index) in order
+                assert (lat.bottom_index, i) in order
+            extents = list(lat.extent_bits)
             assert extents == sorted(extents, key=lambda e: (
                 bin(e).count("1"),
                 tuple(v for v in range(h.n_vertices) if e >> v & 1),
@@ -418,8 +476,9 @@ class TestLatticeLaws:
 
     def test_top_and_bottom(self, seven_groups_lattice):
         lat = seven_groups_lattice
-        assert lat.nodes[lat.top_index].extent.count == 7
-        assert lat.nodes[lat.bottom_index].extent.count == 0
+        assert lat.extent_sizes[lat.top_index] == 7
+        assert lat.extent_sizes[lat.bottom_index] == 0
+        order = containment_from_covers(lat)
         for i in range(len(lat)):
-            assert (i, lat.top_index) in lat.order
-            assert (lat.bottom_index, i) in lat.order
+            assert (i, lat.top_index) in order
+            assert (lat.bottom_index, i) in order
