@@ -15,11 +15,12 @@ Science 9:16, 2020), and its lattice path is the cover walk through
 retained nodes that realises the path, not the fewest cover hops. The
 search stops as soon as its answer is fixed: at the first edge found that
 meets the target in s vertices, from which it walks to the target alone.
-A search that finds no path records the s-component it exhausted in the
-lattice's ``component_memo``, so a later query at that s leaving the
-component is answered at once. That memo is the only state a query
-writes; it holds exact values, so threads that race on it store equal
-ones, and queries are safe to run concurrently.
+
+Connectivity is read off the lattice's ``component_forest``, built with
+the lattice for every s at once: a path query whose ends lie in different
+s-components answers "disconnected" without a search, and a components
+query climbs the forest once per kept edge. Queries write nothing, so they
+are safe to run concurrently.
 """
 
 from __future__ import annotations
@@ -62,12 +63,6 @@ def _check_s(s: int) -> None:
         raise ValueError(f"s must be a positive integer, got {s}")
 
 
-def _hidden_top(lat: ConceptLattice) -> int:
-    """The top's index when pruning drops it (it is not a hyperedge),
-    else -1, which is no node."""
-    return -1 if lat.is_anchor(lat.top_index) else lat.top_index
-
-
 def prune(lat: ConceptLattice, s: int) -> PrunedLatticeView:
     """View of the lattice usable for s-overlap queries.
 
@@ -79,7 +74,7 @@ def prune(lat: ConceptLattice, s: int) -> PrunedLatticeView:
     """
     _check_s(s)
     offsets, _, neighbours = lat.cover_adjacency
-    hidden = _hidden_top(lat)
+    hidden = lat.hidden_top
     retained = frozenset(
         i for i, size in enumerate(lat.extent_sizes) if size >= s and i != hidden
     )
@@ -90,9 +85,17 @@ def prune(lat: ConceptLattice, s: int) -> PrunedLatticeView:
     return PrunedLatticeView(lat, s, retained, adjacency)
 
 
+def _component(lat: ConceptLattice, node: int, s: int) -> int:
+    """The node that names the s-component of a node kept at s."""
+    parent, level = lat.component_forest
+    while level[node] >= s:
+        node = parent[node]
+    return node
+
+
 def _edge_search(lat: ConceptLattice, s: int, source: int, target: int):
     """(cover walk, edges) of a fewest-hop s-path between two distinct
-    edges, or None.
+    edges of one s-component.
 
     The nodes that meet the target in s or more vertices form an up-set,
     and a walk down from an edge's anchor reaches them exactly when the
@@ -101,22 +104,11 @@ def _edge_search(lat: ConceptLattice, s: int, source: int, target: int):
     search that went on none would before that edge's own walk, so
     walking from it alone, through the up-set, down to the first node
     under the target, leaves the links and valley that search would.
-    A component the search exhausts is recorded in
-    ``lat.component_memo``, so a later query at this s with one end in it
-    and the other outside is answered without a search.
     """
-    known = lat.component_memo.get(s)
-    if known:
-        comp = known.get(source) or known.get(target)
-        ends = (1 << source) | (1 << target)
-        if comp and comp & ends != ends:
-            return None
     # node -> the node above that reached it, or ~e at the anchor of edge e
     down: dict[int, int] = {}
     valley: dict[int, int] = {}
     last = _last_hop(lat, s, source, target, down, valley)
-    if last < 0:
-        return None
     offsets, uppers, neighbours = lat.cover_adjacency
     intents, extents = lat.intent_bits, lat.extent_bits
     meets, goal = lat.hypergraph.chi.columns[target], 1 << target
@@ -137,16 +129,14 @@ def _edge_search(lat: ConceptLattice, s: int, source: int, target: int):
 
 def _last_hop(lat, s, source, target, down, valley) -> int:
     """The first edge the search finds that meets the target in s
-    vertices, or -1 when the source's s-component has none.
+    vertices; the target lies in the source's s-component, so there is one.
 
     Round k holds the edges at s-distance k; each round walks down from
     its edges' anchors onto nodes with at least s vertices and takes the
     unseen edges off their intents, filling ``down`` and ``valley``. The
     first node where an edge turns up is its valley. A node is walked once
     per query: when reached again, the nodes below it were walked already.
-    The search stops at the first edge found that meets the target; when
-    it runs out instead, it has walked the source's whole s-component,
-    which it records in ``lat.component_memo``.
+    The search stops at the first edge found that meets the target.
     """
     columns = lat.hypergraph.chi.columns
     meets = columns[target]
@@ -154,8 +144,7 @@ def _last_hop(lat, s, source, target, down, valley) -> int:
         return source
     offsets, uppers, neighbours = lat.cover_adjacency
     sizes, intents, anchors = lat.extent_sizes, lat.intent_bits, lat.edge_anchors
-    every = (1 << lat.hypergraph.n_edges) - 1
-    unseen = every ^ (1 << source)
+    unseen = ((1 << lat.hypergraph.n_edges) - 1) ^ (1 << source)
     level = [source]
     while level:
         nxt: list[int] = []
@@ -179,11 +168,6 @@ def _last_hop(lat, s, source, target, down, valley) -> int:
                         down[m] = n
                         reached.append(m)
         level = nxt
-    comp = every ^ unseen
-    known = lat.component_memo.setdefault(s, {})
-    known.update(dict.fromkeys(valley, comp))
-    known[source] = comp
-    return -1
 
 
 def _realising_walk(lat, source, target, down, valley):
@@ -221,28 +205,28 @@ def shortest_s_path(
     edges, and the lattice path is the cover walk among nodes retained at
     s that realises it (see the module docstring). Raises ValueError for
     s < 1 and KeyError for an unknown edge name, in that order. Raises
-    NoSPathError when an endpoint is pruned at this s (checked before any
-    search) or the endpoints fall in different s-connected components.
+    NoSPathError, before any search, when an endpoint is pruned at this s
+    or the endpoints fall in different s-connected components.
     """
     _check_s(s)
     a, b = lat.resolve_edge(source), lat.resolve_edge(target)
-    for role, name, j in (("source", source, a), ("target", target, b)):
+    src, dst = lat.edge_anchors[a], lat.edge_anchors[b]
+    for role, name, node in (("source", source, src), ("target", target, dst)):
         # An anchor is a hyperedge, so only its size can prune it.
-        if lat.extent_sizes[lat.edge_anchors[j]] < s:
+        if lat.extent_sizes[node] < s:
             raise NoSPathError(
                 f"no {s}-path: {role} edge {name!r} has fewer than {s} "
                 f"vertices and is pruned",
                 reason=f"{role}-pruned",
             )
-
-    found = ([lat.edge_anchors[a]], [a]) if a == b else _edge_search(lat, s, a, b)
-    if found is None:
+    if _component(lat, src, s) != _component(lat, dst, s):
         raise NoSPathError(
             f"no {s}-path: edges {source!r} and {target!r} lie in different "
             f"{s}-connected components",
             reason="disconnected",
         )
-    walk, edges = found
+
+    walk, edges = ([src], [a]) if a == b else _edge_search(lat, s, a, b)
     return SPathResult(
         lattice_path=tuple(walk),
         lattice_distance=len(walk) - 1,
@@ -254,39 +238,22 @@ def shortest_s_path(
 def s_connected_components(lat: ConceptLattice, s: int) -> list[tuple[str, ...]]:
     """s-connected components as hyperedge name groups.
 
-    Each component of the covers among nodes retained at s is mapped to
-    the hyperedges anchored at its nodes; duplicate edges of the source
-    hypergraph travel with their representative column. Components are
-    ordered by their smallest source edge index, members likewise.
+    Each kept edge's anchor climbs ``lat.component_forest`` to the node
+    that names its s-component; duplicate edges of the source hypergraph
+    travel with their representative column. Components are ordered by
+    their smallest source edge index. Members follow ``lat.edge_aliases``:
+    the representative edges in edge order, then the duplicates sorted by
+    name.
     """
     _check_s(s)
-    offsets, _, neighbours = lat.cover_adjacency
     sizes = lat.extent_sizes
-    hidden = _hidden_top(lat)
-    anchored = lat.anchored_edges
-    component_of: dict[int, int] = {}  # dedup edge index -> component
-    seen: set[int] = set()
-    n_components = 0
-    # Searching from the anchors in edge order finds each component from
-    # its smallest edge, so components come out in that order.
-    for node in lat.edge_anchors:
-        if node in seen or sizes[node] < s:
-            continue
-        seen.add(node)
-        stack = [node]
-        while stack:
-            n = stack.pop()
-            for j in anchored.get(n, ()):
-                component_of[j] = n_components
-            for m in neighbours[offsets[n]:offsets[n + 1]]:
-                if m not in seen and sizes[m] >= s and m != hidden:
-                    seen.add(m)
-                    stack.append(m)
-        n_components += 1
-    # alias insertion order is the source edge order, so members come out
-    # in original order and duplicates follow their representative's
-    # component
-    groups: list[list[str]] = [[] for _ in range(n_components)]
+    numbers: dict[int, int] = {}  # component's node -> its position
+    component_of: dict[int, int] = {}  # dedup edge index -> position
+    for j, node in enumerate(lat.edge_anchors):
+        if sizes[node] >= s:
+            root = _component(lat, node, s)
+            component_of[j] = numbers.setdefault(root, len(numbers))
+    groups: list[list[str]] = [[] for _ in numbers]
     for name, rep in lat.edge_aliases.items():
         if rep in component_of:
             groups[component_of[rep]].append(name)

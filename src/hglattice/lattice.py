@@ -82,13 +82,15 @@ class ConceptLattice:
     ``covers`` pairs are read off the rows on first use, deterministically;
     containment is their transitive closure and is never stored.
 
-    ``component_memo`` starts empty and is the only state that changes
-    after construction. A path search at overlap s that finds no path has
-    walked its source's whole s-component; it maps ``component_memo[s]``
-    from each edge of that component to the component's bitmask of
-    deduplicated edge indices, so later queries that leave it need no
-    search. The values are exact, so threads that race store equal ones,
-    and ``==`` ignores the memo.
+    ``component_forest = (parent, level)`` holds the s-components for
+    every s at once. The nodes an s-query keeps (extent size at least s,
+    minus ``hidden_top``) are nested as s falls, so the constructor adds
+    them from the top down and unites each with its upper covers, by tree
+    size and without path compression. A root linked while a node of
+    extent size k is added gets level k; roots and skipped nodes keep
+    level 0 and are their own parent. Levels fall along every path to a
+    root, so climbing from a kept node while ``level >= s`` ends at the
+    node that names its s-component. Nothing changes after construction.
     """
 
     def __init__(
@@ -128,15 +130,39 @@ class ConceptLattice:
                 rows[j].append(i)
         offsets = array("i", accumulate(map(len, rows), initial=0))
         uppers = array("i", (o + k for o, k in zip(offsets, n_lower)))
-        self.cover_adjacency = (
-            offsets, uppers, array("i", chain.from_iterable(rows))
-        )
-        self.component_memo: dict[int, dict[int, int]] = {}
+        neighbours = array("i", chain.from_iterable(rows))
+        self.cover_adjacency = (offsets, uppers, neighbours)
+        n = len(extents)
+        parent, level, weight = list(range(n)), [0] * n, [1] * n
+        hidden = self.hidden_top
+        for i in range(n - 1, -1, -1):
+            k = self.extent_sizes[i]
+            if i == hidden or not k:
+                continue
+            root = i
+            for u in neighbours[uppers[i]:offsets[i + 1]]:
+                if u == hidden:
+                    continue
+                while parent[u] != u:
+                    u = parent[u]
+                if u != root:
+                    if weight[root] > weight[u]:
+                        root, u = u, root
+                    parent[root], level[root] = u, k
+                    weight[u] += weight[root]
+                    root = u
+        self.component_forest = (tuple(parent), tuple(level))
 
     @property
     def top_index(self) -> int:
         """The full vertex set, the largest extent."""
         return len(self.extent_bits) - 1
+
+    @property
+    def hidden_top(self) -> int:
+        """The top's index when s-queries drop it (it is not a hyperedge),
+        else -1, which is no node."""
+        return -1 if self.is_anchor(self.top_index) else self.top_index
 
     @property
     def bottom_index(self) -> int:
@@ -199,14 +225,21 @@ def edge_anchor(lat: ConceptLattice, name: str) -> int:
 
 
 def _prepare(h: Hypergraph) -> tuple[Hypergraph, dict[str, int]]:
+    """The deduplicated hypergraph and its ``edge_aliases``: representatives
+    in edge order, then duplicates sorted by name, as documents list them."""
     reduced, mapping = dedup_edges(h)
+    aliases = {name: j for j, name in enumerate(reduced.edge_names)}
     if reduced is not h:
         warnings.warn(
             "hypergraph has duplicate edge columns; deduplicating before "
             "lattice construction",
             stacklevel=3,
         )
-    return reduced, {name: mapping[j] for j, name in enumerate(h.edge_names)}
+        aliases.update(sorted(
+            (name, mapping[j]) for j, name in enumerate(h.edge_names)
+            if name not in aliases
+        ))
+    return reduced, aliases
 
 
 def build_lattice_naive(h: Hypergraph) -> ConceptLattice:

@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import sys
 import threading
@@ -6,7 +7,7 @@ from collections import deque
 
 import pytest
 
-from conftest import random_dedup_hypergraph
+from conftest import random_dedup_hypergraph, random_hypergraph
 from hglattice.core import iter_bits
 from hglattice import (
     NoSPathError,
@@ -415,9 +416,9 @@ def all_pairs(lat, s_values):
 
 
 class TestSearchAnswersPinned:
-    """The search stops early in two ways (the last round walks from one
-    edge; exhausted components are memoised); these digests of every
-    answer were taken before either existed, so tie-breaks cannot move."""
+    """Queries stop early (the last round walks from one edge; ends in
+    different s-components run no search); these digests of every answer
+    were taken before either existed, so tie-breaks cannot move."""
 
     def test_random_instances(self):
         answers = []
@@ -454,56 +455,79 @@ class TestSearchAnswersPinned:
         assert labels == [{"a", "b"}, {"b"}, {"b", "d", "g"}, {"d"}, {"d", "e"}]
 
 
-class TestComponentMemo:
-    def test_warm_answers_equal_cold_ones(self):
+def every_s_components(lat):
+    top = max(map(int.bit_count, lat.hypergraph.chi.columns), default=0)
+    return [s_connected_components(lat, s) for s in range(1, top + 2)]
+
+
+class TestComponentsPinned:
+    """Digests of the components at every s, taken from document round
+    trips before the s-component forest replaced the per-s search. The
+    inputs keep their duplicate edges, so built lattices must list the
+    duplicates as loaded documents do."""
+
+    def test_random_instances(self):
+        answers = []
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for seed in range(60):
+                lat = build_lattice_naive(random_hypergraph(seed))
+                again = parse_lattice_document(serialize_lattice(lat))
+                assert every_s_components(again) == every_s_components(lat)
+                answers.append(every_s_components(lat))
+        assert answers_digest(answers) == (
+            "1ac310517980c5dd9708bb2de4abca59d2ce4fd535dfbef3f48da9fd6fe23759"
+        )
+
+    def test_chung_lu_lattice(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            lat = build_lattice_vectorized(chung_lu_hypergraph(2000, 1000, 2.2, seed=42))
+        again = parse_lattice_document(serialize_lattice(lat))
+        answers = every_s_components(lat)
+        assert len(answers) == 591
+        assert every_s_components(again) == answers
+        assert answers_digest(answers) == (
+            "f1e6a9648b2f6c7d9ea901c4cbd18b0fe6fa7e3c980f103ea4b421635c68b410"
+        )
+
+
+class TestComponentForest:
+    def test_queries_write_nothing(self):
         for seed in range(60):
-            h = random_dedup_hypergraph(seed)
-            lat, fresh = build_lattice_naive(h), build_lattice_naive(h)
-            queries = all_pairs(lat, (1, 2, 3, 4))
-            first = [path_answer(lat, *q) for q in queries]
-            # the other order memoises other components first
-            second = [path_answer(lat, *q) for q in reversed(queries)][::-1]
-            cold = []
-            for q in queries:
-                fresh.component_memo.clear()
-                cold.append(path_answer(fresh, *q))
-            assert first == second == cold, seed
-            assert lat == fresh
+            lat = build_lattice_naive(random_dedup_hypergraph(seed))
+            before = copy.deepcopy(vars(lat))
+            for q in all_pairs(lat, (1, 2, 3, 4)):
+                path_answer(lat, *q)
+            every_s_components(lat)
+            assert vars(lat) == before, seed
 
-    def test_recorded_components_are_s_components(self):
-        lats = [build_lattice_naive(random_dedup_hypergraph(seed)) for seed in range(40)]
-        h, _ = dedup_edges(chung_lu_hypergraph(200, 100, 2.2, seed=5))
-        lats.append(build_lattice_vectorized(h))
-        recorded = 0
-        for lat in lats:
-            for s in (1, 2, 3):
-                for q in all_pairs(lat, (s,)):
-                    path_answer(lat, *q)
-                group_of = {}
-                for group in s_connected_components(lat, s):
-                    indices = {lat.edge_aliases[name] for name in group}
-                    group_of.update(dict.fromkeys(indices, indices))
-                for edge, comp in lat.component_memo.get(s, {}).items():
-                    assert set(iter_bits(comp)) == group_of[edge], (s, edge)
-                    recorded += 1
-        assert recorded > 100  # 164 edges are recorded
-
-    def test_memoised_component_answers_without_a_search(self, seven_groups):
+    def test_disconnected_answers_need_no_covers(self, seven_groups):
         lat = build_lattice_naive(seven_groups)
-        with pytest.raises(NoSPathError):
-            shortest_s_path(lat, 2, "5", "3")
-        assert set(lat.component_memo[2]) == {
-            lat.resolve_edge("5"), lat.resolve_edge("6")
-        }
         lat.cover_adjacency = None  # any search would fail on it
-        for source, target in (("6", "1"), ("4", "5"), ("5", "2")):
+        for source, target in (("5", "3"), ("6", "1"), ("4", "5"), ("5", "2")):
             with pytest.raises(NoSPathError) as exc:
                 shortest_s_path(lat, 2, source, target)
             assert exc.value.reason == "disconnected"
+        assert s_connected_components(lat, 2) == [("1", "2", "3", "4"), ("5", "6")]
         with pytest.raises(TypeError):
             shortest_s_path(lat, 2, "5", "6")
-        with pytest.raises(TypeError):
-            shortest_s_path(lat, 1, "5", "3")
+
+    def test_levels_fall_toward_short_roots(self):
+        lats = [build_lattice_naive(random_dedup_hypergraph(seed)) for seed in range(60)]
+        h, _ = dedup_edges(chung_lu_hypergraph(200, 100, 2.2, seed=5))
+        lats.append(build_lattice_vectorized(h))
+        for lat in lats:
+            parent, level = lat.component_forest
+            for node in range(len(lat)):
+                depth, last = 0, lat.extent_sizes[node]
+                while parent[node] != node:
+                    assert 0 < level[node] <= last
+                    last = level[node]
+                    node = parent[node]
+                    depth += 1
+                assert level[node] == 0
+                assert 2 ** depth <= len(lat)
 
 
 def independent_depths(lat):
