@@ -58,10 +58,6 @@ def _parse(path: str, fmt: str, text: str):
         "lattice": formats.parse_lattice_document,
         "csv": formats.parse_incidence_csv,
     }.get(fmt, formats.parse_edge_list)
-    if fmt == "csv":
-        # The CSV reader gets universal newlines: a bare \r ends a row,
-        # and a line break quoted in a cell reads as \n.
-        text = text.replace("\r\n", "\n").replace("\r", "\n")
     try:
         return parser(text)
     except formats.ParseError as exc:

@@ -4,8 +4,9 @@ A hypergraph is stored as name tables plus a column-major Boolean incidence
 matrix: one fixed-width bit vector per hyperedge, bit k set when vertex k is
 a member. Read as objects x attributes, the same matrix is a formal context,
 and ``intent_prime`` / ``extent_prime`` are the two halves of its Galois
-connection. Everything downstream (lattice construction, path analytics)
-is built from these primitives.
+connection. The lattice builders and queries work on the bit columns
+directly; only the brute-force checks in ``oracle`` use the prime
+operators.
 
 All types are immutable after construction; operations are pure functions,
 so values can be shared freely across threads.

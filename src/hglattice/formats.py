@@ -89,8 +89,9 @@ def parse_incidence_csv(text: str) -> Hypergraph:
     is the corner and ignored), then one row per vertex with 0/1 cells.
     Lines with no comma and no text are skipped; every other line is a row,
     so a header of blank cells is refused, not passed over. Edge and vertex
-    names must not be blank."""
-    reader = csv.reader(io.StringIO(text))
+    names must not be blank. Line ends are universal newlines: ``\r\n``
+    and a bare ``\r`` end a row, and a quoted line break reads as ``\n``."""
+    reader = csv.reader(io.StringIO(text, newline=None))
     # Each row with the physical line it ends on, since blank lines and
     # quoted line breaks make rows and lines differ.
     rows = []
@@ -286,7 +287,7 @@ def document_to_lattice(doc: dict) -> ConceptLattice:
     except IngestionError as exc:
         raise ParseError(str(exc)) from exc
 
-    aliases = {name: j for j, name in enumerate(edge_names)}
+    aliases = {}
     for dup, rep in duplicates.items():
         _require(type(rep) is str and rep in eidx,
                  f"duplicate edge {dup!r} maps to unknown {rep!r}")

@@ -16,9 +16,10 @@ come from those of any superset, the columns themselves only at the top.
 The walk feeds each node the meets of the node that found it. The document
 loader runs the same walk over a document's edge columns, stopped at the
 first extent the document lacks, and compares. The naive builder is the
-independent reference for extents (new ones intersected with all known
-ones) and covers (per-pair subset tests plus transitive reduction). All
-three pass extents and lower covers to the ``ConceptLattice`` constructor,
+independent reference: it closes the full vertex set under intersection
+with one column at a time (the incremental scheme of the same survey) and
+takes each extent's lower covers as its maximal strict subsets. All three
+pass extents and lower covers to the ``ConceptLattice`` constructor,
 which orders the nodes canonically, anchors the edges and reads the
 intents off the covers: X's intent is the set of edges anchored at X or
 above it (the reduced labels of Ganter & Wille, 1999). The two builders'
@@ -72,7 +73,10 @@ class ConceptLattice:
     lies at or above that extent's node, so a node's intent is the union
     of the edges anchored at it or above it. ``anchored_edges`` maps each
     anchor node to its edges. ``edge_aliases`` maps every edge name of the
-    source hypergraph, duplicates included, to its deduplicated edge index.
+    source hypergraph, duplicates included, to its deduplicated edge index;
+    the caller may leave the representatives out. It lists them in edge
+    order, then the duplicates sorted by name, whatever order the caller
+    passes.
 
     The covers are the only stored order: each node's lower covers are
     packed once into ``cover_adjacency``, the covers read undirected in
@@ -100,7 +104,10 @@ class ConceptLattice:
         edge_aliases: dict[str, int],
     ):
         self.hypergraph = hypergraph
-        self.edge_aliases = edge_aliases
+        self.edge_aliases = {
+            name: j for j, name in enumerate(hypergraph.edge_names)
+        }
+        self.edge_aliases.update(sorted(edge_aliases.items()))
         extents = sorted(
             found, key=lambda e: (e.bit_count(), tuple(iter_bits(e)))
         )
@@ -225,75 +232,45 @@ def edge_anchor(lat: ConceptLattice, name: str) -> int:
 
 
 def _prepare(h: Hypergraph) -> tuple[Hypergraph, dict[str, int]]:
-    """The deduplicated hypergraph and its ``edge_aliases``: representatives
-    in edge order, then duplicates sorted by name, as documents list them."""
+    """The deduplicated hypergraph and each source edge name's deduplicated
+    edge index."""
     reduced, mapping = dedup_edges(h)
-    aliases = {name: j for j, name in enumerate(reduced.edge_names)}
     if reduced is not h:
         warnings.warn(
             "hypergraph has duplicate edge columns; deduplicating before "
             "lattice construction",
             stacklevel=3,
         )
-        aliases.update(sorted(
-            (name, mapping[j]) for j, name in enumerate(h.edge_names)
-            if name not in aliases
-        ))
-    return reduced, aliases
+    return reduced, {name: mapping[j] for j, name in enumerate(h.edge_names)}
 
 
 def build_lattice_naive(h: Hypergraph) -> ConceptLattice:
-    """Pairwise-intersection fixpoint builder.
+    """Incremental intersection-closure builder, the reference for the walk.
 
-    Seeds the extent family with the edge columns, repeatedly intersects
-    new extents against all known ones until a pass adds nothing, then adds
-    the full vertex set as top. Containment is decided by per-pair subset
-    tests on the backing ints; the covers are the transitive reduction of
-    that order. The extents and their lower covers go to the
-    ``ConceptLattice`` constructor like the walk's, which reads the intents
-    off the covers.
+    The extents are the full vertex set closed under intersection with the
+    edge columns, built by adding one column at a time to the family so
+    far. A node's lower covers are the maximal extents strictly inside it:
+    going through the extents largest first, a subset is kept unless it
+    lies inside one already kept. The extents and their lower covers go to
+    the ``ConceptLattice`` constructor like the walk's, which reads the
+    intents off the covers.
     """
     reduced, edge_aliases = _prepare(h)
-
-    extents: set[int] = set(reduced.chi.columns)
-    frontier = list(extents)
-    while frontier:
-        known = list(extents)
-        fresh = []
-        for a in frontier:
-            for b in known:
-                x = a & b
-                if x not in extents:
-                    extents.add(x)
-                    fresh.append(x)
-        frontier = fresh
-    extents.add((1 << reduced.n_vertices) - 1)
-
-    family = list(extents)
-    n_nodes = len(family)
-    up_masks = [0] * n_nodes
-    for i in range(n_nodes):
-        ei = family[i]
-        acc = 0
-        for j in range(n_nodes):
-            ej = family[j]
-            if i != j and ei & ej == ei:
-                acc |= 1 << j
-        up_masks[i] = acc
-
-    # The upper covers of i are its strict supersets not reachable through
-    # another one, and i is a lower cover of each.
-    lower_covers: list[list[int]] = [[] for _ in family]
-    for i in range(n_nodes):
-        reachable = 0
-        for k in iter_bits(up_masks[i]):
-            reachable |= up_masks[k]
-        for j in iter_bits(up_masks[i] & ~reachable):
-            lower_covers[j].append(family[i])
-
-    return ConceptLattice(
-        reduced, dict(zip(family, lower_covers)), edge_aliases
-    )
+    extents = {(1 << reduced.n_vertices) - 1}
+    for col in reduced.chi.columns:
+        extents |= {col & x for x in extents}
+    family = sorted(extents, key=int.bit_count, reverse=True)
+    found: dict[int, list[int]] = {}
+    for i, x in enumerate(family):
+        lower = found[x] = []
+        for y in family[i + 1:]:
+            if y & x == y:
+                for z in lower:
+                    if y & z == y:
+                        break
+                else:
+                    lower.append(y)
+    return ConceptLattice(reduced, found, edge_aliases)
 
 
 def concept_neighbours(

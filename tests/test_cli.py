@@ -191,6 +191,12 @@ class TestComponents:
         assert code == 0
         assert json.loads(out) == []
 
+    def test_invalid_s(self, capsys, groups_csv):
+        code, out, err = run(capsys, "components", groups_csv, "--s", "0")
+        assert code == 1
+        assert out == ""
+        assert err == "error: --s must be a positive integer\n"
+
     def test_byte_order_mark_is_ignored(self, capsys, tmp_path):
         path = tmp_path / "bom.edges"
         path.write_bytes(b"\xef\xbb\xbfe1: a, b\ne2: b, c\n")

@@ -25,6 +25,7 @@ from hglattice import (
     parse_edge_list,
     parse_incidence_csv,
     parse_lattice_document,
+    s_connected_components,
     serialize_lattice,
 )
 from hglattice.core import iter_bits
@@ -267,6 +268,10 @@ class TestEdgeListParser:
         with pytest.raises(ParseError, match="dup"):
             parse_edge_list("dup: a\ndup: b\n")
 
+    def test_missing_edge_name(self):
+        with pytest.raises(ParseError, match="^line 1: missing edge name$"):
+            parse_edge_list(": a, b\n")
+
     def test_round_trip_through_writer(self):
         for seed in range(20):
             h = random_dedup_hypergraph(seed)
@@ -354,6 +359,7 @@ class TestIncidenceCsvParser:
             (",e1\nv1,1\n\n\nv2,x\n", "^line 5, column 2: expected 0 or 1"),
             (",e1\nv1,1\n\nv2,1,0\n", "^line 4: expected 2 cells, got 3$"),
             (',e1\n"v\n1",1\n\nv2,x\n', "^line 5, column 2: expected 0 or 1"),
+            (',e1\r"v\r1",1\r\rv2,x\r', "^line 5, column 2: expected 0 or 1"),
             (',e1\n"v\n1",1\n\n ,0\n', "^line 5: missing vertex name$"),
             ("\n\n,e1,\nv1,1,0\n", "^line 3, column 3: missing edge name$"),
         ):
@@ -383,6 +389,23 @@ class TestIncidenceCsvParser:
     def test_empty_lines_skipped(self):
         h = parse_incidence_csv("\n,e1\n\n  \nv1,1\n\n")
         assert h.vertex_names == ("v1",) and h.edge_names == ("e1",)
+
+    def test_repeated_names(self):
+        for text, message in (
+            (",e1,e1\nv1,1,0\n", "duplicate edge name 'e1'"),
+            (",e1\nv1,1\nv1,0\n", "duplicate vertex name 'v1'"),
+        ):
+            with pytest.raises(ParseError, match=message):
+                parse_incidence_csv(text)
+
+    @pytest.mark.parametrize("end", ["\r", "\r\n"])
+    def test_universal_newlines(self, end):
+        lf = ",e1,e2\nv1,1,0\nv2,1,1\n"
+        assert parse_incidence_csv(lf.replace("\n", end)) == parse_incidence_csv(lf)
+
+    def test_quoted_carriage_return_reads_as_newline(self):
+        for text in (',e1\r"v\r1",1\r', ',e1\r\n"v\r\n1",1\r\n'):
+            assert parse_incidence_csv(text).vertex_names == ("v\n1",)
 
 
 class TestLatticeDocument:
@@ -414,6 +437,25 @@ class TestLatticeDocument:
         assert again == lat
         assert again.resolve_edge("q") == again.resolve_edge("p")
         assert edge_anchor(again, "q") == edge_anchor(again, "p")
+
+    def test_duplicate_edge_order_does_not_change_answers(self):
+        h = from_edge_list([
+            ("a", ["x", "y"]), ("z", ["x", "y"]),
+            ("b", ["x", "y"]), ("c", ["y", "q"]),
+        ])
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            lat = build_lattice_naive(h)
+        doc = json.loads(serialize_lattice(lat))
+        assert doc["hypergraph"]["duplicate_edges"] == {"b": "a", "z": "a"}
+        doc["hypergraph"]["duplicate_edges"] = {"z": "a", "b": "a"}
+        loaded = parse_lattice_document(json.dumps(doc))
+        assert loaded == lat
+        assert list(loaded.edge_aliases) == list(lat.edge_aliases)
+        assert serialize_lattice(loaded) == serialize_lattice(lat)
+        expected = [("a", "c", "b", "z")]
+        assert s_connected_components(lat, 1) == expected
+        assert s_connected_components(loaded, 1) == expected
 
     def test_tampered_covers_rejected(self, seven_groups_lattice):
         doc = json.loads(serialize_lattice(seven_groups_lattice))

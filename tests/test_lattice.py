@@ -21,6 +21,7 @@ from hglattice import (
     from_edge_list,
     galois_labels,
     intent_prime,
+    lattice,
     parse_lattice_document,
     serialize_lattice,
     uniform_hypergraph,
@@ -83,6 +84,21 @@ class TestNaiveBuilder:
         assert len(lat) == 1
         assert lat.top_index == lat.bottom_index == 0
         assert lat.extent_bits[0] == 0
+
+    def test_independent_of_the_walk(self, monkeypatch):
+        cases = [random_dedup_hypergraph(seed) for seed in range(60)]
+        cases.append(chung_lu_hypergraph(1000, 500, exponent=2.2, seed=42))
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            walked = [build_lattice_vectorized(h) for h in cases]
+
+            def refuse(*args):
+                raise AssertionError("the reference builder used the walk")
+
+            monkeypatch.setattr(lattice, "walk_lattice", refuse)
+            monkeypatch.setattr(lattice, "concept_neighbours", refuse)
+            for h, expected in zip(cases, walked):
+                assert build_lattice_naive(h) == expected
 
     def test_auto_dedup_warns_and_matches(self):
         dup = from_edge_list([("p", ["a", "b"]), ("q", ["a", "b"]), ("r", ["b"])])
@@ -288,6 +304,32 @@ class TestVerifyIsomorphism:
         assert not check
         assert check.detail.startswith(f"cover ({lower}, {top}) between extents")
         assert check.detail.endswith("is missing from the lattice")
+
+    def test_extra_extent_false(self, seven_groups, seven_groups_lattice):
+        # {c} is no concept: c's edges 1 and 2 also hold b.
+        lat = seven_groups_lattice
+        extents = lat.extent_bits
+        found = {
+            extents[i]: [extents[j] for j in lower_covers(lat, i)]
+            for i in range(len(lat))
+        }
+        c = 1 << lat.hypergraph.vertex_index["c"]
+        found[c] = [extents[lat.bottom_index]]
+        found[extents[lat.top_index]].append(c)
+        mutant = ConceptLattice(lat.hypergraph, found, lat.edge_aliases)
+        check = verify_isomorphism(mutant, enumerate_concepts_oracle(seven_groups))
+        assert not check
+        assert check.detail == "lattice extent [2] is not a concept"
+
+    def test_wrong_intent_false(self, seven_groups, seven_groups_lattice):
+        # The top's intent is empty; give it edge 1 and leave the rest.
+        lat = seven_groups_lattice
+        top = lat.top_index
+        mutant = with_covers(lat)
+        mutant.intent_bits = lat.intent_bits[:top] + (0b1,)
+        check = verify_isomorphism(mutant, enumerate_concepts_oracle(seven_groups))
+        assert not check
+        assert check.detail == f"node {top}: intent (0,) != concept intent ()"
 
     def test_random_instances(self):
         for seed in range(60):
