@@ -1,11 +1,11 @@
 """Path and connectivity queries answered on a prebuilt concept lattice.
 
-The lattice packs its undirected cover adjacency
-(``ConceptLattice.cover_adjacency``) once, when it is assembled. A query
-for overlap threshold s reads that one adjacency through a filter: it
-keeps the nodes whose extent has at least s vertices, minus a top that is
-not itself a hyperedge. No view is built per query or per s. A path query
-rejects a pruned endpoint before it searches.
+The lattice stores each node's lower and upper covers
+(``ConceptLattice.lower_covers`` and ``upper_covers``) once, when it is
+assembled. A query for overlap threshold s reads those rows through a
+filter: it keeps the nodes whose extent has at least s vertices, minus a
+top that is not itself a hyperedge. No view is built per query or per s.
+A path query rejects a pruned endpoint before it searches.
 
 A path query is a breadth-first search over hyperedges that only walks
 down the covers: the intents of the nodes under an edge's anchor, with at
@@ -68,18 +68,18 @@ def prune(lat: ConceptLattice, s: int) -> PrunedLatticeView:
 
     Keeps nodes whose extent has at least s vertices; the top node is
     dropped when its extent is not itself a hyperedge. The adjacency is
-    the cover relation restricted to retained nodes, read undirected.
-    Queries apply the same filter to ``lat.cover_adjacency`` directly and
-    do not call this.
+    the cover relation restricted to retained nodes, read undirected: a
+    node's lower covers, then its upper covers. Queries apply the same
+    filter to ``lat.lower_covers`` directly and do not call this.
     """
     _check_s(s)
-    offsets, _, neighbours = lat.cover_adjacency
+    lower, upper = lat.lower_covers, lat.upper_covers
     hidden = lat.hidden_top
     retained = frozenset(
         i for i, size in enumerate(lat.extent_sizes) if size >= s and i != hidden
     )
     adjacency = {
-        i: tuple(m for m in neighbours[offsets[i]:offsets[i + 1]] if m in retained)
+        i: tuple(m for m in lower[i] + upper[i] if m in retained)
         for i in sorted(retained)
     }
     return PrunedLatticeView(lat, s, retained, adjacency)
@@ -109,7 +109,7 @@ def _edge_search(lat: ConceptLattice, s: int, source: int, target: int):
     down: dict[int, int] = {}
     valley: dict[int, int] = {}
     last = _last_hop(lat, s, source, target, down, valley)
-    offsets, uppers, neighbours = lat.cover_adjacency
+    lower = lat.lower_covers
     intents, extents = lat.intent_bits, lat.extent_bits
     meets, goal = lat.hypergraph.chi.columns[target], 1 << target
     root = lat.edge_anchors[last]
@@ -119,7 +119,7 @@ def _edge_search(lat: ConceptLattice, s: int, source: int, target: int):
     for n in reached:
         if intents[n] & goal:
             break
-        for m in neighbours[offsets[n]:uppers[n]]:
+        for m in lower[n]:
             if m not in down and (extents[m] & meets).bit_count() >= s:
                 down[m] = n
                 reached.append(m)
@@ -142,7 +142,7 @@ def _last_hop(lat, s, source, target, down, valley) -> int:
     meets = columns[target]
     if (columns[source] & meets).bit_count() >= s:
         return source
-    offsets, uppers, neighbours = lat.cover_adjacency
+    lower = lat.lower_covers
     sizes, intents, anchors = lat.extent_sizes, lat.intent_bits, lat.edge_anchors
     unseen = ((1 << lat.hypergraph.n_edges) - 1) ^ (1 << source)
     level = [source]
@@ -163,7 +163,7 @@ def _last_hop(lat, s, source, target, down, valley) -> int:
                         if (columns[f] & meets).bit_count() >= s:
                             return f
                         nxt.append(f)
-                for m in neighbours[offsets[n]:uppers[n]]:
+                for m in lower[n]:
                     if m not in down and sizes[m] >= s:
                         down[m] = n
                         reached.append(m)
@@ -174,8 +174,7 @@ def _realising_walk(lat, source, target, down, valley):
     """Rebuild the path from the target: down from each edge's anchor to
     its valley over lower covers that contain the valley, then up the
     links that reached the valley to the previous edge's anchor."""
-    offsets, uppers, neighbours = lat.cover_adjacency
-    extents = lat.extent_bits
+    lower, extents = lat.lower_covers, lat.extent_bits
     edges, walk = [target], []
     e = target
     while e != source:
@@ -183,10 +182,7 @@ def _realising_walk(lat, source, target, down, valley):
         bits = extents[v]
         while n != v:
             walk.append(n)
-            n = next(
-                m for m in neighbours[offsets[n]:uppers[n]]
-                if extents[m] & bits == bits
-            )
+            n = next(m for m in lower[n] if extents[m] & bits == bits)
         while (up := down[n]) >= 0:
             walk.append(n)
             n = up
@@ -281,28 +277,26 @@ class DepthHistograms:
 def depth_statistics(lat: ConceptLattice) -> DepthStatistics:
     """Shortest and longest cover-path lengths from every node to the top
     and to the bottom, by dynamic programming over the (already
-    topologically sorted) cover DAG, whose lower and upper covers
-    ``lat.cover_adjacency`` keeps apart in each row."""
+    topologically sorted) cover DAG, read off ``lat.upper_covers`` and
+    ``lat.lower_covers``."""
     n = len(lat)
-    offsets, uppers, neighbours = lat.cover_adjacency
+    lower, upper = lat.lower_covers, lat.upper_covers
 
     min_top = [0] * n
     max_top = [0] * n
     for i in range(n - 1, -1, -1):
         if i == lat.top_index:
             continue
-        ups = neighbours[uppers[i]:offsets[i + 1]]
-        min_top[i] = 1 + min(min_top[j] for j in ups)
-        max_top[i] = 1 + max(max_top[j] for j in ups)
+        min_top[i] = 1 + min(min_top[j] for j in upper[i])
+        max_top[i] = 1 + max(max_top[j] for j in upper[i])
 
     min_bot = [0] * n
     max_bot = [0] * n
     for i in range(n):
         if i == lat.bottom_index:
             continue
-        downs = neighbours[offsets[i]:uppers[i]]
-        min_bot[i] = 1 + min(min_bot[j] for j in downs)
-        max_bot[i] = 1 + max(max_bot[j] for j in downs)
+        min_bot[i] = 1 + min(min_bot[j] for j in lower[i])
+        max_bot[i] = 1 + max(max_bot[j] for j in lower[i])
 
     return DepthStatistics(
         tuple(min_top), tuple(max_top), tuple(min_bot), tuple(max_bot)

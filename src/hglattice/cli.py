@@ -158,7 +158,7 @@ def _cmd_stats(args) -> int:
         f"# vertices,{h.n_vertices}",
         f"# edges,{h.n_edges}",
         f"# lattice_nodes,{len(lat)}",
-        f"# cover_edges,{len(lat.covers)}",
+        f"# cover_edges,{sum(map(len, lat.lower_covers))}",
         "histogram,distance,count",
     ]
     for name in ("min_to_top", "max_to_top", "min_to_bottom", "max_to_bottom"):

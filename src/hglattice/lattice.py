@@ -32,10 +32,7 @@ its labels only.
 from __future__ import annotations
 
 import warnings
-from array import array
 from dataclasses import dataclass
-from functools import cached_property
-from itertools import accumulate, chain
 from typing import Iterable, Iterator
 
 from .core import Hypergraph, IncidenceMatrix, dedup_edges, iter_bits
@@ -78,13 +75,11 @@ class ConceptLattice:
     order, then the duplicates sorted by name, whatever order the caller
     passes.
 
-    The covers are the only stored order: each node's lower covers are
-    packed once into ``cover_adjacency``, the covers read undirected in
-    compressed sparse row form ``(offsets, uppers, neighbours)``. Node i's
-    row ``neighbours[offsets[i]:offsets[i + 1]]`` holds its lower covers up
-    to ``uppers[i]``, then its upper covers, each part ascending. The
-    ``covers`` pairs are read off the rows on first use, deterministically;
-    containment is their transitive closure and is never stored.
+    The covers are the only stored order: ``lower_covers[i]`` and
+    ``upper_covers[i]`` hold node i's lower and upper covers, each
+    ascending, and each relation is the exact inverse of the other. The
+    ``covers`` pairs are read off the upper rows on each call; containment
+    is their transitive closure and is never stored.
 
     ``component_forest = (parent, level)`` holds the s-components for
     every s at once. The nodes an s-query keeps (extent size at least s,
@@ -112,7 +107,7 @@ class ConceptLattice:
             found, key=lambda e: (e.bit_count(), tuple(iter_bits(e)))
         )
         index = {e: i for i, e in enumerate(extents)}
-        rows = [sorted(index[y] for y in found[e]) for e in extents]
+        lower = [sorted(index[y] for y in found[e]) for e in extents]
         self.edge_anchors = tuple(index[col] for col in hypergraph.chi.columns)
         intents = [0] * len(extents)
         anchored: dict[int, list[int]] = {}
@@ -121,8 +116,8 @@ class ConceptLattice:
             anchored.setdefault(node, []).append(j)
         # Upper covers sort after a node, so walking down from the top pushes
         # each intent on only once it is complete.
-        for i in range(len(rows) - 1, -1, -1):
-            for k in rows[i]:
+        for i in range(len(lower) - 1, -1, -1):
+            for k in lower[i]:
                 intents[k] |= intents[i]
         self.extent_sizes = tuple(map(int.bit_count, extents))
         self.extent_bits = tuple(extents)
@@ -130,15 +125,13 @@ class ConceptLattice:
         # Anchor node -> the edges anchored there, ascending; nodes that
         # anchor no edge are absent.
         self.anchored_edges = {node: tuple(js) for node, js in anchored.items()}
-        n_lower = [len(row) for row in rows]
-        for i, row in enumerate(rows):
-            # Upper covers sort after i, so row holds only lower covers yet.
+        # i ascends, so each upper row comes out ascending.
+        upper: list[list[int]] = [[] for _ in extents]
+        for i, row in enumerate(lower):
             for j in row:
-                rows[j].append(i)
-        offsets = array("i", accumulate(map(len, rows), initial=0))
-        uppers = array("i", (o + k for o, k in zip(offsets, n_lower)))
-        neighbours = array("i", chain.from_iterable(rows))
-        self.cover_adjacency = (offsets, uppers, neighbours)
+                upper[j].append(i)
+        self.lower_covers = tuple(map(tuple, lower))
+        self.upper_covers = tuple(map(tuple, upper))
         n = len(extents)
         parent, level, weight = list(range(n)), [0] * n, [1] * n
         hidden = self.hidden_top
@@ -147,7 +140,7 @@ class ConceptLattice:
             if i == hidden or not k:
                 continue
             root = i
-            for u in neighbours[uppers[i]:offsets[i + 1]]:
+            for u in upper[i]:
                 if u == hidden:
                     continue
                 while parent[u] != u:
@@ -186,22 +179,19 @@ class ConceptLattice:
             self.hypergraph == other.hypergraph
             and self.extent_bits == other.extent_bits
             and self.intent_bits == other.intent_bits
-            and self.cover_adjacency == other.cover_adjacency
+            and self.lower_covers == other.lower_covers
             and self.edge_anchors == other.edge_anchors
             and self.edge_aliases == other.edge_aliases
         )
 
     __hash__ = None
 
-    @cached_property
+    @property
     def covers(self) -> tuple[tuple[int, int], ...]:
         """Transitive reduction of the strict order: (lower, upper) pairs,
         ascending."""
-        offsets, uppers, neighbours = self.cover_adjacency
         return tuple(
-            (i, j)
-            for i in range(len(self))
-            for j in neighbours[uppers[i]:offsets[i + 1]]
+            (i, j) for i, ups in enumerate(self.upper_covers) for j in ups
         )
 
     def is_anchor(self, node: int) -> bool:

@@ -20,6 +20,8 @@ from hglattice import (
     depth_statistics,
     edge_anchor,
     from_edge_list,
+    galois_labels,
+    lattice_to_dot,
     oracle_components,
     oracle_shortest_s_path,
     overlap_size,
@@ -494,17 +496,23 @@ class TestComponentsPinned:
 
 class TestComponentForest:
     def test_queries_write_nothing(self):
+        # Neither queries nor writers fill anything in after construction.
         for seed in range(60):
             lat = build_lattice_naive(random_dedup_hypergraph(seed))
             before = copy.deepcopy(vars(lat))
             for q in all_pairs(lat, (1, 2, 3, 4)):
                 path_answer(lat, *q)
             every_s_components(lat)
+            serialize_lattice(lat)
+            lattice_to_dot(lat)
+            lat.covers
+            depth_histograms(lat)
+            galois_labels(lat)
             assert vars(lat) == before, seed
 
     def test_disconnected_answers_need_no_covers(self, seven_groups):
         lat = build_lattice_naive(seven_groups)
-        lat.cover_adjacency = None  # any search would fail on it
+        lat.lower_covers = lat.upper_covers = None  # any search would fail on them
         for source, target in (("5", "3"), ("6", "1"), ("4", "5"), ("5", "2")):
             with pytest.raises(NoSPathError) as exc:
                 shortest_s_path(lat, 2, source, target)

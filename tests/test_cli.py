@@ -390,10 +390,9 @@ class TestBench:
 
         def one_cover_short(h):
             lat = real(h)
-            offsets, uppers, neighbours = lat.cover_adjacency
             extents = lat.extent_bits
             found = {
-                extents[i]: [extents[j] for j in neighbours[offsets[i]:uppers[i]]]
+                extents[i]: [extents[j] for j in lat.lower_covers[i]]
                 for i in range(len(lat))
             }
             next(lower for lower in found.values() if lower).pop()
@@ -411,10 +410,9 @@ class TestBench:
 
         def implied_cover(h):
             lat = real(h)
-            offsets, uppers, neighbours = lat.cover_adjacency
             extents = lat.extent_bits
             found = {
-                extents[i]: [extents[j] for j in neighbours[offsets[i]:uppers[i]]]
+                extents[i]: [extents[j] for j in lat.lower_covers[i]]
                 for i in range(len(lat))
             }
             found[extents[lat.top_index]].append(extents[lat.bottom_index])

@@ -219,21 +219,11 @@ class TestConceptOracle:
             enumerate_concepts_oracle(h)
 
 
-def lower_covers(lat: ConceptLattice, i: int):
-    offsets, uppers, neighbours = lat.cover_adjacency
-    return neighbours[offsets[i]:uppers[i]]
-
-
-def upper_covers(lat: ConceptLattice, i: int):
-    offsets, uppers, neighbours = lat.cover_adjacency
-    return neighbours[uppers[i]:offsets[i + 1]]
-
-
 def drop_node(lat: ConceptLattice, victim: int) -> ConceptLattice:
     """Build a structurally consistent lattice object missing one node."""
     extents = lat.extent_bits
     found = {
-        extents[i]: [extents[j] for j in lower_covers(lat, i) if j != victim]
+        extents[i]: [extents[j] for j in lat.lower_covers[i] if j != victim]
         for i in range(len(lat)) if i != victim
     }
     return ConceptLattice(lat.hypergraph, found, lat.edge_aliases)
@@ -245,7 +235,7 @@ def with_covers(lat: ConceptLattice, add=(), drop=()) -> ConceptLattice:
     extents = lat.extent_bits
     found = {
         extents[i]: [
-            extents[j] for j in lower_covers(lat, i) if (j, i) not in drop
+            extents[j] for j in lat.lower_covers[i] if (j, i) not in drop
         ]
         for i in range(len(lat))
     }
@@ -297,7 +287,7 @@ class TestVerifyIsomorphism:
         # intent as it was.
         lat = seven_groups_lattice
         top = lat.top_index
-        lower = lower_covers(lat, top)[0]
+        lower = lat.lower_covers[top][0]
         mutant = with_covers(lat, drop=[(lower, top)])
         assert mutant.intent_bits == lat.intent_bits
         check = verify_isomorphism(mutant, enumerate_concepts_oracle(seven_groups))
@@ -310,7 +300,7 @@ class TestVerifyIsomorphism:
         lat = seven_groups_lattice
         extents = lat.extent_bits
         found = {
-            extents[i]: [extents[j] for j in lower_covers(lat, i)]
+            extents[i]: [extents[j] for j in lat.lower_covers[i]]
             for i in range(len(lat))
         }
         c = 1 << lat.hypergraph.vertex_index["c"]
@@ -378,7 +368,7 @@ class TestGaloisLabels:
             for lat in (build_lattice_naive(h), build_lattice_vectorized(h)):
                 for i in range(len(lat)):
                     union = 0
-                    for j in upper_covers(lat, i):
+                    for j in lat.upper_covers[i]:
                         union |= lat.intent_bits[j]
                     expected = lat.intent_bits[i] & ~union
                     # symmetric difference equals plain difference here because
@@ -449,6 +439,21 @@ class TestQueryIndices:
                 )
                 assert pairs == list(enumerate(lat.edge_anchors))
                 assert all(lat.anchored_edges.values())
+                # The cover rows ascend, each relation is the other's
+                # inverse, and the pairs are read off the upper rows.
+                for row in lat.lower_covers + lat.upper_covers:
+                    assert all(a < b for a, b in zip(row, row[1:]))
+                up_pairs = tuple(
+                    (i, j)
+                    for i, ups in enumerate(lat.upper_covers)
+                    for j in ups
+                )
+                assert set(up_pairs) == {
+                    (i, j)
+                    for j, lows in enumerate(lat.lower_covers)
+                    for i in lows
+                }
+                assert lat.covers == up_pairs
 
 
 class TestLatticeLaws:
@@ -480,14 +485,14 @@ class TestLatticeLaws:
                 for i in range(n)
             ]
             # transitive closure of covers equals strict containment
-            reach = [set(upper_covers(lat, i)) for i in range(n)]
+            reach = [set(ups) for ups in lat.upper_covers]
             for i in range(n - 1, -1, -1):
                 for j in list(reach[i]):
                     reach[i] |= reach[j]
             assert reach == above
             # and no cover edge is implied by two shorter ones
             for i in range(n):
-                for j in upper_covers(lat, i):
+                for j in lat.upper_covers[i]:
                     assert not any(j in above[k] for k in above[i])
 
     @pytest.mark.parametrize("builder", [build_lattice_naive, build_lattice_vectorized])
