@@ -1,7 +1,7 @@
 import warnings
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from conftest import (
@@ -151,16 +151,28 @@ class TestVectorizedBuilder:
             assert serialize_lattice(naive) == serialize_lattice(vect)
 
 
-@st.composite
-def small_hypergraphs(draw):
-    nv = draw(st.integers(0, 7))
-    columns = draw(st.lists(st.integers(0, (1 << nv) - 1), max_size=7))
+def deduplicated(nv: int, columns: list[int]) -> Hypergraph:
     h = Hypergraph(
         tuple(f"v{k}" for k in range(nv)),
         tuple(f"e{j}" for j in range(len(columns))),
         IncidenceMatrix(nv, len(columns), tuple(columns)),
     )
     return dedup_edges(h)[0]
+
+
+@st.composite
+def small_hypergraphs(draw):
+    nv = draw(st.integers(0, 7))
+    columns = draw(st.lists(st.integers(0, (1 << nv) - 1), max_size=7))
+    return deduplicated(nv, columns)
+
+
+def incidence_rows(chi: IncidenceMatrix) -> list[int]:
+    """Bit j of ``rows[v]`` is set when vertex v lies in edge j."""
+    return [
+        sum(1 << j for j, col in enumerate(chi.columns) if col >> v & 1)
+        for v in range(chi.n_vertices)
+    ]
 
 
 class TestNeighbourRule:
@@ -178,6 +190,63 @@ class TestNeighbourRule:
         lower0, meets0 = concept_neighbours(y, chi.columns)
         assert meets == meets0
         assert sorted(lower) == sorted(lower0)
+
+    @given(h=small_hypergraphs())
+    # No vertices and no edges; edges but no vertex; vertices but no edge,
+    # where a kept empty start class would give every extent the meet 0;
+    # and an empty column, whose meet 0 no row records.
+    @example(h=deduplicated(0, []))
+    @example(h=deduplicated(0, [0]))
+    @example(h=deduplicated(3, []))
+    @example(h=deduplicated(3, [0b111, 0]))
+    @example(h=deduplicated(3, [0b011, 0b110, 0]))
+    @settings(max_examples=150, deadline=None)
+    def test_refinement_gives_the_superset_answer(self, h):
+        chi = h.chi
+        rows = incidence_rows(chi)
+        edges = (1 << chi.n_edges) - 1
+        extents = list(build_lattice_naive(h).extent_bits)
+        for x in extents:
+            _, x_meets = concept_neighbours(x, chi.columns)
+            for y in extents:
+                if y & x != y:
+                    continue
+                lower, meets = concept_neighbours(y, x_meets)
+                lower_r, meets_r = concept_neighbours(y, x_meets, rows, edges)
+                assert meets_r == meets
+                assert sorted(lower_r) == sorted(lower)
+
+    @pytest.mark.filterwarnings("ignore:hypergraph has duplicate")
+    @pytest.mark.parametrize(
+        "h, sparse",
+        [
+            (chung_lu_hypergraph(400, 200, exponent=2.2, seed=2), True),
+            (uniform_hypergraph(30, 20, seed=0), False),
+        ],
+        ids=["chung-lu 400x200", "uniform 30x20"],
+    )
+    def test_walk_picks_a_branch_per_node(self, h, sparse, monkeypatch):
+        # Each node makes one rule call; a nonempty one refines over the
+        # rows exactly when its popcount times REFINE_FACTOR is below its
+        # superset's meet count. Both branches must run on the sparse
+        # input.
+        rule = lattice.concept_neighbours
+        refined, anded = [], []
+
+        def counted(extent, meets, *rows):
+            want = 0 < extent.bit_count() * lattice.REFINE_FACTOR < len(meets)
+            assert bool(rows) == want
+            (refined if rows else anded).append(extent)
+            return rule(extent, meets, *rows)
+
+        monkeypatch.setattr(lattice, "concept_neighbours", counted)
+        vect = build_lattice_vectorized(h)
+        monkeypatch.undo()
+        assert vect == build_lattice_naive(h)
+        assert sorted(refined + anded) == sorted(vect.extent_bits)
+        assert anded
+        if sparse:
+            assert refined
 
     @pytest.mark.filterwarnings("ignore:hypergraph has duplicate")
     def test_deep_chung_lu_lattice(self):
