@@ -19,12 +19,15 @@ meets the target in s vertices, from which it walks to the target alone.
 Connectivity is read off the lattice's ``component_forest``, built with
 the lattice for every s at once: a path query whose ends lie in different
 s-components answers "disconnected" without a search, and a components
-query climbs the forest once per kept edge. Queries write nothing, so they
-are safe to run concurrently.
+query climbs the forest once per kept edge. It finds those edges in the
+lattice's ``edges_by_size`` by bisection and their duplicate names in
+``edge_duplicates``, so it reads no edge that s drops. Queries write
+nothing, so they are safe to run concurrently.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass, field
 
@@ -234,26 +237,31 @@ def shortest_s_path(
 def s_connected_components(lat: ConceptLattice, s: int) -> list[tuple[str, ...]]:
     """s-connected components as hyperedge name groups.
 
-    Each kept edge's anchor climbs ``lat.component_forest`` to the node
-    that names its s-component; duplicate edges of the source hypergraph
-    travel with their representative column. Components are ordered by
-    their smallest source edge index. Members follow ``lat.edge_aliases``:
-    the representative edges in edge order, then the duplicates sorted by
-    name.
+    The edges kept at s are the suffix of ``lat.edges_by_size`` whose
+    edges have at least s vertices, so the query reads only those. Taken
+    in index order, each edge's anchor climbs ``lat.component_forest`` to
+    the node that names its s-component, and components are numbered as
+    their nodes are first reached: by their smallest source edge index.
+    Members are the representative edges in edge order, then their
+    duplicates from ``lat.edge_duplicates``, sorted by name, the order of
+    ``lat.edge_aliases``.
     """
     _check_s(s)
-    sizes = lat.extent_sizes
-    numbers: dict[int, int] = {}  # component's node -> its position
-    component_of: dict[int, int] = {}  # dedup edge index -> position
-    for j, node in enumerate(lat.edge_anchors):
-        if sizes[node] >= s:
-            root = _component(lat, node, s)
-            component_of[j] = numbers.setdefault(root, len(numbers))
-    groups: list[list[str]] = [[] for _ in numbers]
-    for name, rep in lat.edge_aliases.items():
-        if rep in component_of:
-            groups[component_of[rep]].append(name)
-    return [tuple(g) for g in groups]
+    by_size = lat.edges_by_size
+    kept = by_size[bisect_left(by_size, s, key=lat.edge_size):]
+    anchors, names = lat.edge_anchors, lat.hypergraph.edge_names
+    duplicates = lat.edge_duplicates
+    # component's node -> its members, in the order the nodes are reached
+    groups: dict[int, list[str]] = {}
+    extra: dict[int, list[str]] = {}  # component's node -> its duplicates
+    for j in sorted(kept):
+        root = _component(lat, anchors[j], s)
+        groups.setdefault(root, []).append(names[j])
+        if j in duplicates:
+            extra.setdefault(root, []).extend(duplicates[j])
+    for root, dups in extra.items():
+        groups[root] += sorted(dups)
+    return [tuple(g) for g in groups.values()]
 
 
 @dataclass(frozen=True)

@@ -38,6 +38,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator
 
 from .core import Hypergraph, IncidenceMatrix, dedup_edges, iter_bits
@@ -78,7 +79,11 @@ class ConceptLattice:
     source hypergraph, duplicates included, to its deduplicated edge index;
     the caller may leave the representatives out. It lists them in edge
     order, then the duplicates sorted by name, whatever order the caller
-    passes.
+    passes. ``edge_duplicates`` inverts that duplicate part, as
+    ``anchored_edges`` inverts ``edge_anchors``: it maps each edge that
+    has duplicates to their names, sorted. ``edges_by_size`` lists the
+    edges in ascending order of ``edge_size``, ties by index, so the edges
+    with at least s vertices, those an s-query keeps, are a suffix of it.
 
     The covers are the only stored order: ``lower_covers[i]`` and
     ``upper_covers[i]`` hold node i's lower and upper covers, each
@@ -130,6 +135,16 @@ class ConceptLattice:
         # Anchor node -> the edges anchored there, ascending; nodes that
         # anchor no edge are absent.
         self.anchored_edges = {node: tuple(js) for node, js in anchored.items()}
+        # sorted() is stable, so edges of one size stay in index order.
+        self.edges_by_size = tuple(
+            sorted(range(hypergraph.n_edges), key=self.edge_size)
+        )
+        # The aliases past the representatives are the duplicates, by name.
+        duplicates: dict[int, list[str]] = {}
+        aliases = islice(self.edge_aliases.items(), hypergraph.n_edges, None)
+        for name, j in aliases:
+            duplicates.setdefault(j, []).append(name)
+        self.edge_duplicates = {j: tuple(ns) for j, ns in duplicates.items()}
         # i ascends, so each upper row comes out ascending.
         upper: list[list[int]] = [[] for _ in extents]
         for i, row in enumerate(lower):
@@ -201,6 +216,10 @@ class ConceptLattice:
 
     def is_anchor(self, node: int) -> bool:
         return node in self.anchored_edges
+
+    def edge_size(self, edge: int) -> int:
+        """Vertex count of deduplicated edge ``edge``."""
+        return self.extent_sizes[self.edge_anchors[edge]]
 
     def node_label(self, node: int) -> str:
         """Galois label ``{extent names} : {intent names}``."""

@@ -8,7 +8,7 @@ from collections import deque
 import pytest
 
 from conftest import random_dedup_hypergraph, random_hypergraph
-from hglattice.core import iter_bits
+from hglattice.core import Hypergraph, IncidenceMatrix, iter_bits
 from hglattice import (
     NoSPathError,
     analytics,
@@ -213,15 +213,37 @@ class TestComponents:
         assert s_connected_components(again, 2) == [("x", "y"), ("z",)]
 
     def test_oracle_agreement(self):
-        for seed in range(60):
-            h = random_dedup_hypergraph(seed)
+        # Duplicate edges stay in the source hypergraph, and the oracle
+        # answers on it; the kept edges shrink to none at the largest s.
+        with_duplicates = 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            for seed in range(200):
+                h = random_hypergraph(seed)
+                with_duplicates += dedup_edges(h)[0] is not h
+                lat = build_lattice_naive(h)
+                again = parse_lattice_document(serialize_lattice(lat))
+                top = max(map(int.bit_count, h.chi.columns))
+                for s in range(1, top + 2):
+                    expected = sorted(map(sorted, oracle_components(h, s)))
+                    for loaded in (lat, again):
+                        got = s_connected_components(loaded, s)
+                        assert sorted(map(sorted, got)) == expected, (seed, s)
+        assert with_duplicates == 93
+
+    @pytest.mark.parametrize("columns", [[], [0, 0]], ids=["no edges", "empty edges"])
+    def test_no_kept_edges(self, columns):
+        h = Hypergraph(
+            ("v0",),
+            tuple(f"e{j}" for j in range(len(columns))),
+            IncidenceMatrix(1, len(columns), tuple(columns)),
+        )
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
             lat = build_lattice_naive(h)
-            for s in (1, 2, 3, 4):
-                got = s_connected_components(lat, s)
-                expected = oracle_components(h, s)
-                assert sorted(map(sorted, got)) == sorted(map(sorted, expected)), (
-                    seed, s,
-                )
+        again = parse_lattice_document(serialize_lattice(lat))
+        for loaded in (lat, again):
+            assert [s_connected_components(loaded, s) for s in (1, 2)] == [[], []]
 
     def test_refinement_in_s(self):
         for seed in range(40):
