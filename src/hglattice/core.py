@@ -216,31 +216,17 @@ def from_edge_list(edges: Iterable[tuple[str, Iterable[str]]]) -> Hypergraph:
     appearance order; repeated vertex mentions inside one edge collapse.
     Duplicate edge names are rejected.
     """
-    vertex_names: list[str] = []
     vertex_index: dict[str, int] = {}
     edge_names: list[str] = []
-    member_lists: list[list[int]] = []
+    columns: list[int] = []
     for edge_name, members in edges:
         edge_names.append(edge_name)
-        row: list[int] = []
-        for v in members:
-            idx = vertex_index.get(v)
-            if idx is None:
-                idx = len(vertex_names)
-                vertex_index[v] = idx
-                vertex_names.append(v)
-            row.append(idx)
-        member_lists.append(row)
-
-    n_vertices = len(vertex_names)
-    columns = []
-    for row in member_lists:
         bits = 0
-        for idx in row:
-            bits |= 1 << idx
+        for v in members:
+            bits |= 1 << vertex_index.setdefault(v, len(vertex_index))
         columns.append(bits)
-    chi = IncidenceMatrix(n_vertices, len(edge_names), tuple(columns))
-    return Hypergraph(tuple(vertex_names), tuple(edge_names), chi)
+    chi = IncidenceMatrix(len(vertex_index), len(edge_names), tuple(columns))
+    return Hypergraph(tuple(vertex_index), tuple(edge_names), chi)
 
 
 def intent_prime(h: Hypergraph, a: VertexSet) -> EdgeSet:

@@ -11,10 +11,10 @@ from __future__ import annotations
 import csv
 import io
 import json
+from itertools import islice
 from json.encoder import encode_basestring_ascii
 
 from .core import (
-    BitVec,
     Hypergraph,
     IncidenceMatrix,
     IngestionError,
@@ -77,9 +77,9 @@ def format_edge_list(h: Hypergraph) -> str:
     for name in h.vertex_names:
         _require_writable("vertex", name, "#,")
     lines = []
-    for j, name in enumerate(h.edge_names):
+    for name, column in zip(h.edge_names, h.chi.columns):
         _require_writable("edge", name, "#,:")
-        members = h.vertex_names_of(h.edge_column(j))
+        members = [h.vertex_names[k] for k in iter_bits(column)]
         lines.append(f"{name}: {', '.join(members)}".rstrip())
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -158,10 +158,10 @@ def serialize_lattice(lat: ConceptLattice) -> str:
     encode = encode_basestring_ascii
     vertices = [encode(name) for name in h.vertex_names]
     edges = [encode(name) for name in h.edge_names]
+    # The aliases past the representatives are the duplicates, by name.
     duplicates = [
         f"{encode(name)}: {edges[rep]}"
-        for name, rep in sorted(lat.edge_aliases.items())
-        if name != h.edge_names[rep]
+        for name, rep in islice(lat.edge_aliases.items(), h.n_edges, None)
     ]
     anchored = lat.anchored_edges
     nodes = [
@@ -302,7 +302,7 @@ def document_to_lattice(doc: dict) -> ConceptLattice:
         if y not in stored:
             if y == (1 << nv) - 1:
                 raise ParseError("the full vertex set is not a node extent")
-            names = ",".join(h.vertex_names_of(BitVec(nv, y)))
+            names = ",".join(vertex_names[k] for k in iter_bits(y))
             raise ParseError(
                 f"the column intersection {{{names}}} is not a node extent"
             )

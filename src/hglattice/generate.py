@@ -6,6 +6,7 @@ identical hypergraphs across runs and platforms.
 
 from __future__ import annotations
 
+import math
 import random
 
 from .core import Hypergraph, IncidenceMatrix
@@ -27,22 +28,31 @@ def chung_lu_hypergraph(
     edge e independently with probability min(1, w_v * w_e / W) where W is
     the total weight of both sequences. Heavier vertices land in many
     edges, heavier edges collect many vertices, giving power-law-ish degree
-    and edge-size tails.
+    and edge-size tails. An exponent so close to 1 that the weights or
+    their total overflow a float is refused with ValueError.
     """
     if n_vertices < 0 or n_edges < 0:
         raise ValueError("sizes must be non-negative")
     if not exponent > 1.0:  # written so that NaN fails too
         raise ValueError("power-law exponent must exceed 1")
     rng = random.Random(seed)
-    vertex_w = _power_law_weights(n_vertices, exponent, rng)
-    edge_w = _power_law_weights(n_edges, exponent, rng)
-    total = sum(vertex_w) + sum(edge_w)
+    try:
+        vertex_w = _power_law_weights(n_vertices, exponent, rng)
+        edge_w = _power_law_weights(n_edges, exponent, rng)
+        total = sum(vertex_w) + sum(edge_w)
+    except OverflowError:
+        total = math.inf
+    # Every weight is at least 1, so a finite total bounds each weight and
+    # each quotient below is a number; a quotient of 1 or more joins.
+    if not math.isfinite(total):
+        raise ValueError(
+            f"power-law exponent {exponent} is too close to 1: the weights overflow"
+        )
     columns = []
-    for e in range(n_edges):
+    for w_e in edge_w:
         bits = 0
-        for v in range(n_vertices):
-            p = min(1.0, vertex_w[v] * edge_w[e] / total) if total else 0.0
-            if rng.random() < p:
+        for v, w_v in enumerate(vertex_w):
+            if rng.random() < w_v * w_e / total:
                 bits |= 1 << v
         columns.append(bits)
     return _named(n_vertices, n_edges, columns)

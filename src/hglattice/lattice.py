@@ -44,6 +44,14 @@ from typing import Iterable, Iterator
 from .core import Hypergraph, IncidenceMatrix, dedup_edges, iter_bits
 
 
+# Byte b with its bits reversed and complemented. For extents of one size,
+# (extent cardinality, extent index tuple) order puts first the extent that
+# holds the lowest vertex where two differ; with vertex 0 read as the high
+# bit of the first byte, that is the lexicographic order of the
+# little-endian bytes translated through this table.
+_SORT_BYTE = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
+
+
 def _names(table: tuple[str, ...], bits: int) -> tuple[str, ...]:
     """The names in ``table`` at the set bits of ``bits``, ascending."""
     return tuple(table[k] for k in iter_bits(bits))
@@ -113,9 +121,10 @@ class ConceptLattice:
             name: j for j, name in enumerate(hypergraph.edge_names)
         }
         self.edge_aliases.update(sorted(edge_aliases.items()))
-        extents = sorted(
-            found, key=lambda e: (e.bit_count(), tuple(iter_bits(e)))
-        )
+        width = (hypergraph.n_vertices + 7) // 8
+        extents = sorted(found, key=lambda e: (
+            e.bit_count(), e.to_bytes(width, "little").translate(_SORT_BYTE)
+        ))
         index = {e: i for i, e in enumerate(extents)}
         lower = [sorted(index[y] for y in found[e]) for e in extents]
         self.edge_anchors = tuple(index[col] for col in hypergraph.chi.columns)

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import statistics
 import warnings
@@ -336,13 +337,26 @@ class TestGen:
         assert out == ""
 
     def test_invalid_exponent(self, capsys):
-        for exponent in ("0.5", "nan"):
+        # 1.0001 passes the range check, but its weights overflow a float
+        for exponent in ("0.5", "nan", "1.0001"):
             code, _, err = run(
                 capsys, "gen", "--vertices", "5", "--edges", "5",
                 "--power-exponent", exponent,
             )
             assert code == 1
             assert "exponent" in err
+
+    @pytest.mark.parametrize("argv, digest", [
+        (("--vertices", "200", "--edges", "100", "--seed", "1"),
+         "a53e7e371e6d8bd8de64072f4900ea6b250dd21cd3d37da38809e28c7a0ef9cc"),
+        (("--vertices", "1000", "--edges", "500", "--power-exponent", "2.2",
+          "--seed", "42"),
+         "a747ff79590cf1c9c4d3533936157e07849a034df4d03f62c05144fe5c780e2b"),
+    ])
+    def test_chung_lu_output_is_pinned(self, capsys, argv, digest):
+        code, out, _ = run(capsys, "gen", *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
 
     def test_chung_lu_degree_tail_is_heavy(self, capsys):
         _, out, _ = run(capsys, "gen", "--vertices", "400", "--edges", "200",

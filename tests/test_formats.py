@@ -475,7 +475,9 @@ class TestLatticeDocument:
         text = serialize_lattice(seven_groups_lattice)
         extents = [e for e in node_extents(text) if e != {"a"}]
         assert len(extents) == 12
-        with pytest.raises(ParseError, match="not a node"):
+        with pytest.raises(
+            ParseError, match=r"^the column intersection \{a\} is not a node extent$"
+        ):
             parse_lattice_document(over_extents(text, extents))
 
     def test_extra_node_rejected(self, seven_groups_lattice):

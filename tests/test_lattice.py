@@ -571,6 +571,13 @@ class TestLatticeLaws:
             from_edge_list([("1", [])]),
             from_edge_list([("1", ["a", "b"]), ("2", ["a"]), ("3", ["b"])]),
         ]
+        # Extents that span more than one byte, so that equal sizes are
+        # also told apart by vertices past the first eight.
+        for n_vertices, n_edges in ((9, 8), (16, 8), (17, 10), (40, 10)):
+            for seed in range(3):
+                h = uniform_hypergraph(n_vertices, n_edges, p=0.4, seed=seed)
+                cases.append(dedup_edges(h)[0])
+        cases.append(dedup_edges(chung_lu_hypergraph(200, 100, 2.2, seed=3))[0])
         for h in cases:
             lat = builder(h)
             assert lat.top_index == len(lat) - 1
