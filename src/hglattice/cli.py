@@ -106,7 +106,7 @@ def _cmd_build(args) -> int:
             raise CommandError(
                 f"verification failed: {check.detail}", EXIT_VERIFY
             )
-        if set(lat.extent_bits) != {v.bits for v in complex_sets}:
+        if set(lat.extent_bits) != complex_sets:
             raise CommandError(
                 "verification failed: lattice extents differ from the "
                 "brute-force intersection family",

@@ -1,12 +1,15 @@
 """Hypergraph data model and the Galois (prime) operators.
 
 A hypergraph is stored as name tables plus a column-major Boolean incidence
-matrix: one fixed-width bit vector per hyperedge, bit k set when vertex k is
-a member. Read as objects x attributes, the same matrix is a formal context,
-and ``intent_prime`` / ``extent_prime`` are the two halves of its Galois
-connection. The lattice builders and queries work on the bit columns
+matrix: one int per hyperedge, bit k set when vertex k is a member. Every
+vertex or edge set in the package is such an int, bit i for index i. Read
+as objects x attributes, the same matrix is a formal context, and
+``intent_prime`` / ``extent_prime`` are the two halves of its Galois
+connection. The lattice builders and queries work on the columns
 directly; only the brute-force checks in ``oracle`` use the prime
-operators.
+operators. A set passed to a function here must fit its hypergraph: a
+negative int, or one with a bit past the vertex or edge count, raises
+``DimensionError``.
 
 All types are immutable after construction; operations are pure functions,
 so values can be shared freely across threads.
@@ -20,7 +23,7 @@ from typing import Iterable, Iterator
 
 
 class DimensionError(ValueError):
-    """A bit vector's width does not match the dimension it is used against."""
+    """An int set has a bit outside the vertices or edges it indexes."""
 
 
 class IngestionError(ValueError):
@@ -43,82 +46,12 @@ def iter_bits(bits: int) -> Iterator[int]:
         bits ^= low
 
 
-@dataclass(frozen=True)
-class BitVec:
-    """Fixed-width bit vector backed by a Python int.
-
-    Word-level Boolean operations (``&``, ``|``, popcount) on the backing
-    integer are what make the set algebra here cheap; widths are carried
-    along so dimension mismatches fail loudly instead of silently zipping
-    sets over different universes.
-    """
-
-    width: int
-    bits: int
-
-    def __post_init__(self):
-        if self.width < 0:
-            raise ValueError("width must be non-negative")
-        if self.bits < 0 or self.bits >> self.width:
-            raise ValueError(f"bits 0x{self.bits:x} exceed width {self.width}")
-
-    @classmethod
-    def empty(cls, width: int) -> "BitVec":
-        return cls(width, 0)
-
-    @classmethod
-    def full(cls, width: int) -> "BitVec":
-        return cls(width, (1 << width) - 1)
-
-    @classmethod
-    def of(cls, width: int, indices: Iterable[int]) -> "BitVec":
-        bits = 0
-        for i in indices:
-            if not 0 <= i < width:
-                raise DimensionError(f"index {i} out of range for width {width}")
-            bits |= 1 << i
-        return cls(width, bits)
-
-    @property
-    def count(self) -> int:
-        return self.bits.bit_count()
-
-    def indices(self) -> tuple[int, ...]:
-        return tuple(iter_bits(self.bits))
-
-    def issubset(self, other: "BitVec") -> bool:
-        self._check_width(other)
-        return self.bits & other.bits == self.bits
-
-    def __contains__(self, index: int) -> bool:
-        return 0 <= index < self.width and (self.bits >> index) & 1 == 1
-
-    def __iter__(self) -> Iterator[int]:
-        return iter_bits(self.bits)
-
-    def __and__(self, other: "BitVec") -> "BitVec":
-        self._check_width(other)
-        return BitVec(self.width, self.bits & other.bits)
-
-    def __or__(self, other: "BitVec") -> "BitVec":
-        self._check_width(other)
-        return BitVec(self.width, self.bits | other.bits)
-
-    def __sub__(self, other: "BitVec") -> "BitVec":
-        self._check_width(other)
-        return BitVec(self.width, self.bits & ~other.bits)
-
-    def _check_width(self, other: "BitVec"):
-        if self.width != other.width:
-            raise DimensionError(
-                f"width mismatch: {self.width} vs {other.width}"
-            )
-
-
-# A VertexSet is a BitVec over vertex indices, an EdgeSet one over edge
-# indices; the distinction is by convention, enforced by width checks.
-VertexSet = BitVec
-EdgeSet = BitVec
+def _check_set(bits: int, width: int, kind: str):
+    """Raise DimensionError unless ``bits`` is a set of indices below ``width``."""
+    if bits < 0 or bits >> width:
+        raise DimensionError(
+            f"{kind} set {bits:#x} does not fit {width} {kind} indices"
+        )
 
 
 @dataclass(frozen=True)
@@ -140,9 +73,6 @@ class IncidenceMatrix:
                 raise IngestionError(
                     f"column {j} has bits outside the {self.n_vertices}-vertex range"
                 )
-
-    def column(self, edge: int) -> BitVec:
-        return BitVec(self.n_vertices, self.columns[edge])
 
 
 @dataclass(frozen=True)
@@ -181,32 +111,34 @@ class Hypergraph:
     def edge_index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.edge_names)}
 
-    def vertex_subset(self, names: Iterable[str]) -> VertexSet:
-        try:
-            return BitVec.of(self.n_vertices, (self.vertex_index[n] for n in names))
-        except KeyError as exc:
-            raise KeyError(f"unknown vertex name {exc.args[0]!r}") from None
+    def vertex_subset(self, names: Iterable[str]) -> int:
+        return _subset(self.vertex_index, names, "vertex")
 
-    def edge_subset(self, names: Iterable[str]) -> EdgeSet:
-        try:
-            return BitVec.of(self.n_edges, (self.edge_index[n] for n in names))
-        except KeyError as exc:
-            raise KeyError(f"unknown edge name {exc.args[0]!r}") from None
+    def edge_subset(self, names: Iterable[str]) -> int:
+        return _subset(self.edge_index, names, "edge")
 
-    def vertex_names_of(self, vs: VertexSet) -> tuple[str, ...]:
-        if vs.width != self.n_vertices:
-            raise DimensionError("vertex set width does not match hypergraph")
-        return tuple(self.vertex_names[i] for i in vs)
+    def vertex_names_of(self, vs: int) -> tuple[str, ...]:
+        _check_set(vs, self.n_vertices, "vertex")
+        return tuple(self.vertex_names[i] for i in iter_bits(vs))
 
-    def edge_names_of(self, es: EdgeSet) -> tuple[str, ...]:
-        if es.width != self.n_edges:
-            raise DimensionError("edge set width does not match hypergraph")
-        return tuple(self.edge_names[i] for i in es)
+    def edge_names_of(self, es: int) -> tuple[str, ...]:
+        _check_set(es, self.n_edges, "edge")
+        return tuple(self.edge_names[i] for i in iter_bits(es))
 
-    def edge_column(self, edge: int) -> VertexSet:
+    def edge_column(self, edge: int) -> int:
         if not 0 <= edge < self.n_edges:
             raise IndexError(f"edge index {edge} out of range")
-        return self.chi.column(edge)
+        return self.chi.columns[edge]
+
+
+def _subset(index: dict[str, int], names: Iterable[str], kind: str) -> int:
+    bits = 0
+    for name in names:
+        try:
+            bits |= 1 << index[name]
+        except KeyError:
+            raise KeyError(f"unknown {kind} name {name!r}") from None
+    return bits
 
 
 def from_edge_list(edges: Iterable[tuple[str, Iterable[str]]]) -> Hypergraph:
@@ -229,36 +161,30 @@ def from_edge_list(edges: Iterable[tuple[str, Iterable[str]]]) -> Hypergraph:
     return Hypergraph(tuple(vertex_index), tuple(edge_names), chi)
 
 
-def intent_prime(h: Hypergraph, a: VertexSet) -> EdgeSet:
+def intent_prime(h: Hypergraph, a: int) -> int:
     """Edges whose member set contains every vertex of ``a``.
 
     The empty vertex set maps to all edges (universal quantification over
     an empty set holds vacuously).
     """
-    if a.width != h.n_vertices:
-        raise DimensionError(
-            f"vertex set width {a.width} does not match |V| = {h.n_vertices}"
-        )
+    _check_set(a, h.n_vertices, "vertex")
     bits = 0
     for j, col in enumerate(h.chi.columns):
-        if a.bits & col == a.bits:
+        if a & col == a:
             bits |= 1 << j
-    return BitVec(h.n_edges, bits)
+    return bits
 
 
-def extent_prime(h: Hypergraph, b: EdgeSet) -> VertexSet:
+def extent_prime(h: Hypergraph, b: int) -> int:
     """Vertices common to every edge of ``b``; all vertices when ``b`` is empty."""
-    if b.width != h.n_edges:
-        raise DimensionError(
-            f"edge set width {b.width} does not match |E| = {h.n_edges}"
-        )
+    _check_set(b, h.n_edges, "edge")
     acc = (1 << h.n_vertices) - 1
-    for j in iter_bits(b.bits):
+    for j in iter_bits(b):
         acc &= h.chi.columns[j]
-    return BitVec(h.n_vertices, acc)
+    return acc
 
 
-def closure(h: Hypergraph, a: VertexSet) -> VertexSet:
+def closure(h: Hypergraph, a: int) -> int:
     """The double-prime closure of a vertex set: smallest closed superset."""
     return extent_prime(h, intent_prime(h, a))
 

@@ -406,11 +406,13 @@ def walk_lattice(chi: IncidenceMatrix) -> Iterator[tuple[int, list[int]]]:
 
 
 def build_lattice_vectorized(h: Hypergraph) -> ConceptLattice:
-    """Column-closure builder; output is identical to the naive builder.
+    """Production builder: the walk down the lower covers; output is
+    identical to the naive builder.
 
     Deduplicates the edge columns, walks the extent family of the result
-    (``walk_lattice``) and assembles the ``ConceptLattice``. The name
-    is kept for ``--algorithm vectorized`` and the ``bench`` output.
+    from the top down (``walk_lattice``) and assembles the
+    ``ConceptLattice``. The name is kept for ``--algorithm vectorized``
+    and the ``bench`` output.
     """
     reduced, edge_aliases = _prepare(h)
     return ConceptLattice(

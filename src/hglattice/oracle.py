@@ -19,11 +19,8 @@ from itertools import combinations
 
 from .core import (
     BRUTE_FORCE_EDGE_LIMIT,
-    BitVec,
-    EdgeSet,
     Hypergraph,
     SizeLimitError,
-    VertexSet,
     extent_prime,
     intent_prime,
     iter_bits,
@@ -110,7 +107,7 @@ def oracle_components(h: Hypergraph, s: int) -> list[tuple[str, ...]]:
     return out
 
 
-def intersection_complex_bruteforce(h: Hypergraph) -> frozenset[VertexSet]:
+def intersection_complex_bruteforce(h: Hypergraph) -> frozenset[int]:
     """All intersections of nonempty subsets of the topped edge family.
 
     The edge set is extended with the full vertex set, then every nonempty
@@ -123,8 +120,7 @@ def intersection_complex_bruteforce(h: Hypergraph) -> frozenset[VertexSet]:
             f"intersection enumeration is limited to {BRUTE_FORCE_EDGE_LIMIT} "
             f"edges; got {ne}"
         )
-    nv = h.n_vertices
-    full = (1 << nv) - 1
+    full = (1 << h.n_vertices) - 1
     family = list(h.chi.columns) + [full]
     found = set()
     for bits in range(1, 1 << len(family)):
@@ -135,15 +131,15 @@ def intersection_complex_bruteforce(h: Hypergraph) -> frozenset[VertexSet]:
             acc &= family[low.bit_length() - 1]
             rest ^= low
         found.add(acc)
-    return frozenset(BitVec(nv, bits) for bits in found)
+    return frozenset(found)
 
 
 @dataclass(frozen=True)
 class Concept:
-    """A closed (extent, intent) pair: each prime-maps to the other."""
+    """A closed (extent, intent) pair of ints: each prime-maps to the other."""
 
-    extent: VertexSet
-    intent: EdgeSet
+    extent: int
+    intent: int
 
 
 def enumerate_concepts_oracle(h: Hypergraph) -> frozenset[Concept]:
@@ -161,7 +157,7 @@ def enumerate_concepts_oracle(h: Hypergraph) -> frozenset[Concept]:
         )
     found = set()
     for bits in range(1 << ne):
-        extent = extent_prime(h, BitVec(ne, bits))
+        extent = extent_prime(h, bits)
         intent = intent_prime(h, extent)
         found.add(Concept(extent, intent))
     return frozenset(found)
@@ -206,7 +202,7 @@ def verify_isomorphism(lat, concepts) -> IsomorphismResult:
     ``concepts`` should come from the same (deduplicated) hypergraph the
     lattice was built over.
     """
-    by_extent = {c.extent.bits: c.intent.bits for c in concepts}
+    by_extent = {c.extent: c.intent for c in concepts}
     extents = lat.extent_bits
     missing = by_extent.keys() - set(extents)
     if missing:

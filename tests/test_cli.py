@@ -11,6 +11,7 @@ from hglattice import (
     format_edge_list,
     from_edge_list,
     lattice,
+    oracle,
     parse_edge_list,
 )
 from hglattice.cli import main
@@ -440,6 +441,24 @@ class TestBench:
             "error: verification failed: cover (0, 12) between extents [] "
             "and [0, 1, 2, 3, 4, 5, 6] is not in the transitive reduction "
             "of extent containment\n"
+        )
+
+    def test_build_verify_family_short_exit_2(self, capsys, groups_csv, monkeypatch):
+        # The concepts agree with the lattice; only the intersection family
+        # lacks one of its extents.
+        real = oracle.intersection_complex_bruteforce
+
+        def one_short(h):
+            family = real(h)
+            return family - {next(iter(family))}
+
+        monkeypatch.setattr(oracle, "intersection_complex_bruteforce", one_short)
+        code, out, err = run(capsys, "build", groups_csv, "--verify")
+        assert code == 2
+        assert out == ""
+        assert err == (
+            "error: verification failed: lattice extents differ from the "
+            "brute-force intersection family\n"
         )
 
     def test_bad_sizes(self, capsys):

@@ -242,7 +242,7 @@ class TestEdgeListParser:
     def test_edge_with_no_vertices(self):
         h = parse_edge_list("e1:\n")
         assert h.n_edges == 1
-        assert h.edge_column(0).count == 0
+        assert h.edge_column(0) == 0
 
     def test_malformed_line_reports_number(self):
         with pytest.raises(ParseError, match="line 3"):
@@ -336,7 +336,7 @@ class TestIncidenceCsvParser:
         h = parse_incidence_csv(",e1\nv1,0\n")
         assert h.n_vertices == 1
         assert h.n_edges == 1
-        assert h.edge_column(0).count == 0
+        assert h.edge_column(0) == 0
 
     def test_all_ones_column_is_topped(self):
         from hglattice import is_topped

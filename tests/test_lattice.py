@@ -27,7 +27,7 @@ from hglattice import (
     uniform_hypergraph,
     verify_isomorphism,
 )
-from hglattice.core import BitVec, Hypergraph, IncidenceMatrix, dedup_edges, iter_bits
+from hglattice.core import Hypergraph, IncidenceMatrix, dedup_edges, iter_bits
 from hglattice.lattice import concept_neighbours
 
 
@@ -254,9 +254,8 @@ class TestNeighbourRule:
         h = chung_lu_hypergraph(400, 200, exponent=2.2, seed=2)
         vect = build_lattice_vectorized(h)
         assert max(depth_histograms(vect).max_to_top) >= 10
-        nv = vect.hypergraph.n_vertices
         for extent, intent in zip(vect.extent_bits, vect.intent_bits):
-            assert intent == intent_prime(vect.hypergraph, BitVec(nv, extent)).bits
+            assert intent == intent_prime(vect.hypergraph, extent)
         assert build_lattice_naive(h) == vect
         text = serialize_lattice(vect)
         again = parse_lattice_document(text)
@@ -271,7 +270,7 @@ class TestConceptOracle:
         got = set(
             zip(seven_groups_lattice.extent_bits, seven_groups_lattice.intent_bits)
         )
-        assert {(c.extent.bits, c.intent.bits) for c in concepts} == got
+        assert {(c.extent, c.intent) for c in concepts} == got
 
     def test_single_edge(self):
         h = from_edge_list([("1", ["a", "b"])])
@@ -451,9 +450,9 @@ class TestAnchors:
     def test_seven_groups_anchors(self, seven_groups, seven_groups_lattice):
         lat = seven_groups_lattice
         node7 = edge_anchor(lat, "7")
-        assert lat.extent_bits[node7] == seven_groups.vertex_subset("g").bits
+        assert lat.extent_bits[node7] == seven_groups.vertex_subset("g")
         node2 = edge_anchor(lat, "2")
-        assert lat.extent_bits[node2] == seven_groups.vertex_subset("abcd").bits
+        assert lat.extent_bits[node2] == seven_groups.vertex_subset("abcd")
 
     def test_single_edge_anchor(self):
         lat = build_lattice_naive(from_edge_list([("1", ["a", "b"])]))
@@ -467,7 +466,7 @@ class TestAnchors:
             lat = build_lattice_naive(h)
             for j, name in enumerate(h.edge_names):
                 node = edge_anchor(lat, name)
-                assert lat.extent_bits[node] == h.edge_column(j).bits
+                assert lat.extent_bits[node] == h.edge_column(j)
 
 
 class TestQueryIndices:
@@ -491,12 +490,11 @@ class TestQueryIndices:
                 warnings.simplefilter("ignore")
                 built = build(h)
             for lat in (built, parse_lattice_document(serialize_lattice(built))):
-                nv = lat.hypergraph.n_vertices
                 assert lat.extent_sizes == tuple(
                     map(int.bit_count, lat.extent_bits)
                 )
                 assert lat.intent_bits == tuple(
-                    intent_prime(lat.hypergraph, BitVec(nv, extent)).bits
+                    intent_prime(lat.hypergraph, extent)
                     for extent in lat.extent_bits
                 )
                 # Exactly the inverse of edge_anchors: each edge listed once,
