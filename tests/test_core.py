@@ -18,6 +18,8 @@ from hglattice import (
 from hglattice.core import Hypergraph, IncidenceMatrix, iter_bits
 from hglattice.lattice import build_lattice_vectorized
 
+from test_acceptance import build_quiet
+
 
 class TestFromEdgeList:
     def test_seven_groups(self, seven_groups):
@@ -97,7 +99,7 @@ class TestIncidenceRows:
         # Row k of the incidence matrix is the intent of {k}: in the prime
         # map, and on the lattice node whose extent is the closure of {k}.
         h = random_hypergraph(seed)
-        lat = build_lattice_vectorized(h)
+        lat = build_quiet(build_lattice_vectorized, h)
         intent_of = dict(zip(lat.extent_bits, lat.intent_bits))
         for k in range(h.n_vertices):
             row = intent_prime(h, 1 << k)

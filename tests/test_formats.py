@@ -64,50 +64,153 @@ def _put(value, *path):
     return mutate
 
 
-# Each mutation of the seven-groups document leaves one field missing or
-# ill-typed; node 1 is {a}, the bottom is node 0 and the top node 12.
+def _each(*mutations):
+    def mutate(doc):
+        for m in mutations:
+            m(doc)
+
+    return mutate
+
+
+# Each mutation of the seven-groups document leaves one field missing,
+# ill-typed or repeated, with the loader's message for it; node 1 is {a},
+# the bottom is node 0 and the top node 12.
 TAMPERS = [
-    pytest.param(_drop("hypergraph"), id="no-hypergraph"),
-    pytest.param(_put(["a"], "hypergraph"), id="hypergraph-array"),
-    pytest.param(_drop("hypergraph", "vertices"), id="no-vertices"),
-    pytest.param(_put("abcdefg", "hypergraph", "vertices"), id="vertices-string"),
-    pytest.param(_put(7, "hypergraph", "vertices", 0), id="vertex-name-int"),
-    pytest.param(_drop("hypergraph", "edges"), id="no-edges"),
-    pytest.param(_put(None, "hypergraph", "edges", 6), id="edge-name-null"),
-    pytest.param(_drop("hypergraph", "n_vertices"), id="no-n-vertices"),
-    pytest.param(_put(7.0, "hypergraph", "n_vertices"), id="n-vertices-float"),
-    pytest.param(_put(7.0, "hypergraph", "n_edges"), id="n-edges-float"),
-    pytest.param(_put([], "hypergraph", "duplicate_edges"), id="duplicates-array"),
-    pytest.param(_put({"x": 1}, "hypergraph", "duplicate_edges"), id="duplicate-int"),
+    pytest.param(_drop("hypergraph"),
+                 "document: 'hypergraph' is missing or not an object",
+                 id="no-hypergraph"),
+    pytest.param(_put(["a"], "hypergraph"),
+                 "document: 'hypergraph' is missing or not an object",
+                 id="hypergraph-array"),
+    pytest.param(_drop("hypergraph", "vertices"),
+                 "hypergraph: 'vertices' is missing or not an array",
+                 id="no-vertices"),
+    pytest.param(_put("abcdefg", "hypergraph", "vertices"),
+                 "hypergraph: 'vertices' is missing or not an array",
+                 id="vertices-string"),
+    pytest.param(_put(7, "hypergraph", "vertices", 0),
+                 "hypergraph: 'vertices' must hold only strings",
+                 id="vertex-name-int"),
+    pytest.param(_each(_put(list("abcdefga"), "hypergraph", "vertices"),
+                       _put(8, "hypergraph", "n_vertices")),
+                 "duplicate vertex name 'a'", id="vertex-name-repeated"),
+    pytest.param(_drop("hypergraph", "edges"),
+                 "hypergraph: 'edges' is missing or not an array",
+                 id="no-edges"),
+    pytest.param(_put(None, "hypergraph", "edges", 6),
+                 "hypergraph: 'edges' must hold only strings",
+                 id="edge-name-null"),
+    pytest.param(_drop("hypergraph", "n_vertices"),
+                 "hypergraph: 'n_vertices' is missing or not an integer",
+                 id="no-n-vertices"),
+    pytest.param(_put(6, "hypergraph", "n_vertices"),
+                 "vertex table does not match n_vertices",
+                 id="n-vertices-wrong"),
+    pytest.param(_put(7.0, "hypergraph", "n_vertices"),
+                 "hypergraph: 'n_vertices' is missing or not an integer",
+                 id="n-vertices-float"),
+    pytest.param(_put(7.0, "hypergraph", "n_edges"),
+                 "hypergraph: 'n_edges' is missing or not an integer",
+                 id="n-edges-float"),
+    pytest.param(_put(8, "hypergraph", "n_edges"),
+                 "edge table does not match n_edges", id="n-edges-wrong"),
+    pytest.param(_put([], "hypergraph", "duplicate_edges"),
+                 "hypergraph: 'duplicate_edges' is not an object",
+                 id="duplicates-array"),
+    pytest.param(_put({"x": 1}, "hypergraph", "duplicate_edges"),
+                 "duplicate edge 'x' maps to unknown 1", id="duplicate-int"),
     pytest.param(_put({"x": ["1"]}, "hypergraph", "duplicate_edges"),
+                 "duplicate edge 'x' maps to unknown ['1']",
                  id="duplicate-array"),
     pytest.param(_put({"2": "1"}, "hypergraph", "duplicate_edges"),
+                 "duplicate edge '2' is also an edge",
                  id="duplicate-shadows-edge"),
-    pytest.param(_drop("nodes"), id="no-nodes"),
-    pytest.param(_put({}, "nodes"), id="nodes-object"),
-    pytest.param(_put("node", "nodes", 1), id="node-string"),
-    pytest.param(_drop("nodes", 1, "id"), id="no-node-id"),
-    pytest.param(_put(True, "nodes", 1, "id"), id="id-bool"),
-    pytest.param(_put(0.0, "nodes", 0, "id"), id="id-float"),
-    pytest.param(_drop("nodes", 1, "extent"), id="no-extent"),
-    pytest.param(_put("a", "nodes", 1, "extent"), id="extent-string"),
-    pytest.param(_put([5], "nodes", 1, "extent"), id="extent-name-int"),
-    pytest.param(_put([["a"]], "nodes", 1, "extent"), id="extent-name-array"),
-    pytest.param(_put(["a", "a"], "nodes", 1, "extent"), id="extent-repeats"),
-    pytest.param(_drop("nodes", 1, "intent"), id="no-intent"),
-    pytest.param(_put(3, "nodes", 1, "intent"), id="intent-int"),
-    pytest.param(_put([2, 3, 4], "nodes", 1, "intent"), id="intent-names-int"),
-    pytest.param(_drop("nodes", 1, "introduces"), id="no-introduces"),
-    pytest.param(_put(None, "nodes", 1, "introduces"), id="introduces-null"),
-    pytest.param(_put([{}], "nodes", 1, "introduces"), id="introduces-object"),
-    pytest.param(_drop("covers"), id="no-covers"),
-    pytest.param(_put("0 1", "covers"), id="covers-string"),
-    pytest.param(_put([[0]], "covers"), id="cover-short"),
-    pytest.param(_drop("top"), id="no-top"),
-    pytest.param(_put("12", "top"), id="top-string"),
-    pytest.param(_drop("bottom"), id="no-bottom"),
-    pytest.param(_put(False, "bottom"), id="bottom-bool"),
-    pytest.param(_put(0.0, "bottom"), id="bottom-float"),
+    pytest.param(_drop("nodes"),
+                 "document: 'nodes' is missing or not an array", id="no-nodes"),
+    pytest.param(_put({}, "nodes"),
+                 "document: 'nodes' is missing or not an array",
+                 id="nodes-object"),
+    pytest.param(_put("node", "nodes", 1), "node 1: not an object",
+                 id="node-string"),
+    pytest.param(_put(None, "nodes", 2), "node 2: not an object",
+                 id="node-null"),
+    pytest.param(_put([0, ["a"], [], []], "nodes", 3), "node 3: not an object",
+                 id="node-array"),
+    pytest.param(_drop("nodes", 1, "id"),
+                 "node 1: 'id' is missing or not an integer", id="no-node-id"),
+    pytest.param(_put(True, "nodes", 1, "id"),
+                 "node 1: 'id' is missing or not an integer", id="id-bool"),
+    pytest.param(_put(0.0, "nodes", 0, "id"),
+                 "node 0: 'id' is missing or not an integer", id="id-float"),
+    pytest.param(_put(2, "nodes", 1, "id"),
+                 "node ids must be 0..n-1 in order", id="id-out-of-order"),
+    pytest.param(_drop("nodes", 1, "extent"),
+                 "node 1: 'extent' is missing or not an array", id="no-extent"),
+    pytest.param(_put("a", "nodes", 1, "extent"),
+                 "node 1: 'extent' is missing or not an array",
+                 id="extent-string"),
+    pytest.param(_put([5], "nodes", 1, "extent"),
+                 "node 1: unknown name 5 in 'extent'", id="extent-name-int"),
+    pytest.param(_put([["a"]], "nodes", 1, "extent"),
+                 "node 1: unknown name ['a'] in 'extent'",
+                 id="extent-name-array"),
+    pytest.param(_put(["a", "a"], "nodes", 1, "extent"),
+                 "node 1: 'extent' repeats a name", id="extent-repeats"),
+    pytest.param(_drop("nodes", 1, "intent"),
+                 "node 1: 'intent' is missing or not an array", id="no-intent"),
+    pytest.param(_put(3, "nodes", 1, "intent"),
+                 "node 1: 'intent' is missing or not an array", id="intent-int"),
+    pytest.param(_put([2, 3, 4], "nodes", 1, "intent"),
+                 "node 1: unknown name 2 in 'intent'", id="intent-names-int"),
+    pytest.param(_put(["2", "3", "4", "3"], "nodes", 1, "intent"),
+                 "node 1: 'intent' repeats a name", id="intent-repeats"),
+    pytest.param(_each(_put(["5"], "nodes", 3, "intent"),
+                       _put(["1"], "nodes", 1, "intent")),
+                 "node 1: stored intent disagrees with edge columns",
+                 id="intents-disagree"),
+    pytest.param(_drop("nodes", 1, "introduces"),
+                 "node 1: 'introduces' is missing or not an array",
+                 id="no-introduces"),
+    pytest.param(_put(None, "nodes", 1, "introduces"),
+                 "node 1: 'introduces' is missing or not an array",
+                 id="introduces-null"),
+    pytest.param(_put([{}], "nodes", 1, "introduces"),
+                 "node 1: unknown name {} in 'introduces'",
+                 id="introduces-object"),
+    pytest.param(_put(["7"], "nodes", 1, "introduces"),
+                 "edge '7' introduced at more than one node",
+                 id="edge-introduced-twice"),
+    pytest.param(_put([], "nodes", 4, "introduces"),
+                 "every edge must be introduced at exactly one node",
+                 id="edge-not-introduced"),
+    pytest.param(_each(_put(["6", "7"], "nodes", 4, "introduces"),
+                       _put([], "nodes", 8, "introduces")),
+                 "duplicate edge columns in document", id="columns-repeat"),
+    pytest.param(_drop("covers"),
+                 "document: 'covers' is missing or not an array",
+                 id="no-covers"),
+    pytest.param(_put("0 1", "covers"),
+                 "document: 'covers' is missing or not an array",
+                 id="covers-string"),
+    pytest.param(_put([[0]], "covers"),
+                 "stored covers disagree with node extents", id="cover-short"),
+    pytest.param(_drop("top"),
+                 "document: 'top' is missing or not an integer", id="no-top"),
+    pytest.param(_put("12", "top"),
+                 "document: 'top' is missing or not an integer",
+                 id="top-string"),
+    pytest.param(_put(11, "top"), "stored top id is wrong", id="top-wrong"),
+    pytest.param(_drop("bottom"),
+                 "document: 'bottom' is missing or not an integer",
+                 id="no-bottom"),
+    pytest.param(_put(False, "bottom"),
+                 "document: 'bottom' is missing or not an integer",
+                 id="bottom-bool"),
+    pytest.param(_put(0.0, "bottom"),
+                 "document: 'bottom' is missing or not an integer",
+                 id="bottom-float"),
+    pytest.param(_put(1, "bottom"), "stored bottom id is wrong",
+                 id="bottom-wrong"),
 ]
 
 
@@ -457,6 +560,20 @@ class TestLatticeDocument:
         assert s_connected_components(lat, 1) == expected
         assert s_connected_components(loaded, 1) == expected
 
+    def test_name_lists_read_as_sets(self, seven_groups_lattice):
+        # Extents, intents and introduced edges are sets: their names in
+        # reverse order load the same lattice.
+        text = serialize_lattice(seven_groups_lattice)
+        doc = json.loads(text)
+        for rec in doc["nodes"]:
+            for key in ("extent", "intent", "introduces"):
+                rec[key].reverse()
+        assert doc["nodes"][1]["intent"] == ["4", "3", "2"]
+        assert doc["nodes"][11]["extent"] == ["d", "c", "b", "a"]
+        loaded = parse_lattice_document(json.dumps(doc))
+        assert loaded == seven_groups_lattice
+        assert serialize_lattice(loaded) == text
+
     def test_tampered_covers_rejected(self, seven_groups_lattice):
         doc = json.loads(serialize_lattice(seven_groups_lattice))
         doc["covers"] = doc["covers"][:-1]
@@ -486,6 +603,17 @@ class TestLatticeDocument:
         text = serialize_lattice(seven_groups_lattice)
         extents = sorted(node_extents(text) + [{"c"}], key=canonical_key)
         with pytest.raises(ParseError, match="AND of its intent"):
+            parse_lattice_document(over_extents(text, extents))
+
+    def test_first_unreached_extent_named(self, seven_groups_lattice):
+        # Neither {c} nor {d} is an intersection of columns; the message
+        # names the first of them in node order, node 3.
+        text = serialize_lattice(seven_groups_lattice)
+        extents = sorted(node_extents(text) + [{"d"}, {"c"}], key=canonical_key)
+        assert extents[3:5] == [{"c"}, {"d"}]
+        with pytest.raises(
+            ParseError, match=r"^extent 3 is not the AND of its intent's columns$"
+        ):
             parse_lattice_document(over_extents(text, extents))
 
     def test_extra_node_does_not_steer_the_walk(
@@ -543,11 +671,13 @@ class TestLatticeDocument:
         with pytest.raises(ParseError, match="canonical order"):
             parse_lattice_document(over_extents(text, extents))
 
-    @pytest.mark.parametrize("mutate", TAMPERS)
-    def test_malformed_field_rejected(self, seven_groups_lattice, mutate):
+    @pytest.mark.parametrize("mutate, message", TAMPERS)
+    def test_malformed_field_rejected(
+        self, seven_groups_lattice, mutate, message
+    ):
         doc = json.loads(serialize_lattice(seven_groups_lattice))
         mutate(doc)
-        with pytest.raises(ParseError):
+        with pytest.raises(ParseError, match=f"^{re.escape(message)}$"):
             parse_lattice_document(json.dumps(doc))
 
     @pytest.mark.parametrize("key", ["n_vertices", "n_edges"])
