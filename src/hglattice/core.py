@@ -89,11 +89,10 @@ class Hypergraph:
         if len(self.edge_names) != self.chi.n_edges:
             raise IngestionError("edge table does not match matrix width")
         for kind, names in (("vertex", self.vertex_names), ("edge", self.edge_names)):
-            seen = set()
-            for name in names:
-                if name in seen:
-                    raise IngestionError(f"duplicate {kind} name {name!r}")
-                seen.add(name)
+            if len(set(names)) != len(names):
+                seen = set()  # add() returns None, so next() stops at a repeat
+                dup = next(name for name in names if name in seen or seen.add(name))
+                raise IngestionError(f"duplicate {kind} name {dup!r}")
 
     @property
     def n_vertices(self) -> int:

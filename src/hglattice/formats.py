@@ -202,8 +202,8 @@ def _field(obj: dict, key: str, kind: type, where: str):
     """``obj[key]``, which must be present and exactly of ``kind``: a JSON
     ``true`` is not an integer."""
     value = obj.get(key)
-    _require(type(value) is kind,
-             f"{where}: {key!r} is missing or not {_JSON_KINDS[kind]}")
+    if type(value) is not kind:
+        raise ParseError(f"{where}: {key!r} is missing or not {_JSON_KINDS[kind]}")
     return value
 
 
@@ -214,18 +214,20 @@ def _name_table(hg: dict, key: str) -> tuple[str, ...]:
     return tuple(names)
 
 
-def _bits_of(rec: dict, key: str, index: dict[str, int], where: str) -> int:
-    """Bit set of the names listed under ``rec[key]``."""
+def _bits_of(rec: dict, key: str, index: dict[str, int], i: int) -> int:
+    """Bit set of the names listed under ``rec[key]`` of node ``i``."""
+    names = rec.get(key)
+    if type(names) is not list:
+        raise ParseError(f"node {i}: {key!r} is missing or not an array")
     bits = 0
-    names = _field(rec, key, list, where)
     for name in names:
-        # The tables hold only strings, so a name of any other type is
-        # unknown too.
+        # The tables hold only strings: a name of another type is unknown.
         try:
             bits |= 1 << index[name]
         except (KeyError, TypeError):
-            raise ParseError(f"{where}: unknown name {name!r} in {key!r}") from None
-    _require(bits.bit_count() == len(names), f"{where}: {key!r} repeats a name")
+            raise ParseError(f"node {i}: unknown name {name!r} in {key!r}") from None
+    if bits.bit_count() != len(names):
+        raise ParseError(f"node {i}: {key!r} repeats a name")
     return bits
 
 
@@ -251,39 +253,38 @@ def document_to_lattice(doc: dict) -> ConceptLattice:
     _require(_field(hg, "n_edges", int, "hypergraph") == len(edge_names),
              "edge table does not match n_edges")
     duplicates = hg.get("duplicate_edges", {})
-    _require(type(duplicates) is dict,
-             "hypergraph: 'duplicate_edges' is not an object")
+    _require(type(duplicates) is dict, "hypergraph: 'duplicate_edges' is not an object")
     vidx = {name: i for i, name in enumerate(vertex_names)}
     eidx = {name: i for i, name in enumerate(edge_names)}
     nv, ne = len(vertex_names), len(edge_names)
 
     records = _field(doc, "nodes", list, "document")
-    extents = []
-    intents = []
-    introduces = []
+    extents, intents, introduces = [], [], []
+    # One pass, each check inline; a message is formatted only when raised.
     for i, rec in enumerate(records):
-        where = f"node {i}"
-        _require(type(rec) is dict, f"{where}: not an object")
-        _require(_field(rec, "id", int, where) == i,
-                 "node ids must be 0..n-1 in order")
-        extents.append(_bits_of(rec, "extent", vidx, where))
-        intents.append(_bits_of(rec, "intent", eidx, where))
-        introduces.append(_bits_of(rec, "introduces", eidx, where))
+        if type(rec) is not dict:
+            raise ParseError(f"node {i}: not an object")
+        if type(rec.get("id")) is not int:
+            raise ParseError(f"node {i}: 'id' is missing or not an integer")
+        _require(rec["id"] == i, "node ids must be 0..n-1 in order")
+        extents.append(_bits_of(rec, "extent", vidx, i))
+        intents.append(_bits_of(rec, "intent", eidx, i))
+        introduces.append(_bits_of(rec, "introduces", eidx, i))
 
     # Edge columns are recovered from the nodes that introduce each edge.
     columns = [None] * ne
     for i, intro in enumerate(introduces):
         for j in iter_bits(intro):
-            _require(columns[j] is None,
-                     f"edge {edge_names[j]!r} introduced at more than one node")
+            if columns[j] is not None:
+                raise ParseError(
+                    f"edge {edge_names[j]!r} introduced at more than one node")
             columns[j] = extents[i]
     _require(all(col is not None for col in columns),
              "every edge must be introduced at exactly one node")
     _require(len(set(columns)) == ne, "duplicate edge columns in document")
     try:
-        h = Hypergraph(
-            vertex_names, edge_names, IncidenceMatrix(nv, ne, tuple(columns))
-        )
+        chi = IncidenceMatrix(nv, ne, tuple(columns))
+        h = Hypergraph(vertex_names, edge_names, chi)
     except IngestionError as exc:
         raise ParseError(str(exc)) from exc
 
@@ -296,25 +297,24 @@ def document_to_lattice(doc: dict) -> ConceptLattice:
 
     # The walk stops at the first extent of the family that is not stored,
     # so a document cannot make it run past its own node count.
-    stored = set(extents)
-    found = {}
+    stored, found = set(extents), {}
     for y, lower in walk_lattice(h.chi):
         if y not in stored:
             if y == (1 << nv) - 1:
                 raise ParseError("the full vertex set is not a node extent")
             names = ",".join(vertex_names[k] for k in iter_bits(y))
             raise ParseError(
-                f"the column intersection {{{names}}} is not a node extent"
-            )
+                f"the column intersection {{{names}}} is not a node extent")
         found[y] = lower
-    for i, x in enumerate(extents):
-        _require(x in found, f"extent {i} is not the AND of its intent's columns")
+    if not stored <= found.keys():
+        i = next(i for i, x in enumerate(extents) if x not in found)
+        raise ParseError(f"extent {i} is not the AND of its intent's columns")
     lat = ConceptLattice(h, found, aliases)
     _require(list(lat.extent_bits) == extents,
              "node extents must be distinct and in canonical order")
-    for i, intent in enumerate(lat.intent_bits):
-        _require(intent == intents[i],
-                 f"node {i}: stored intent disagrees with edge columns")
+    if list(lat.intent_bits) != intents:
+        i = next(i for i, x in enumerate(intents) if x != lat.intent_bits[i])
+        raise ParseError(f"node {i}: stored intent disagrees with edge columns")
     covers = [[lo, hi] for lo, hi in lat.covers]
     _require(_field(doc, "covers", list, "document") == covers,
              "stored covers disagree with node extents")

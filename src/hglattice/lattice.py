@@ -126,7 +126,7 @@ class ConceptLattice:
             e.bit_count(), e.to_bytes(width, "little").translate(_SORT_BYTE)
         ))
         index = {e: i for i, e in enumerate(extents)}
-        lower = [sorted(index[y] for y in found[e]) for e in extents]
+        lower = [sorted(map(index.__getitem__, found[e])) for e in extents]
         self.edge_anchors = tuple(index[col] for col in hypergraph.chi.columns)
         intents = [0] * len(extents)
         anchored: dict[int, list[int]] = {}
