@@ -264,9 +264,10 @@ def document_to_lattice(doc: dict) -> ConceptLattice:
     for i, rec in enumerate(records):
         if type(rec) is not dict:
             raise ParseError(f"node {i}: not an object")
-        if type(rec.get("id")) is not int:
+        if type(node_id := rec.get("id")) is not int:
             raise ParseError(f"node {i}: 'id' is missing or not an integer")
-        _require(rec["id"] == i, "node ids must be 0..n-1 in order")
+        if node_id != i:
+            raise ParseError("node ids must be 0..n-1 in order")
         extents.append(_bits_of(rec, "extent", vidx, i))
         intents.append(_bits_of(rec, "intent", eidx, i))
         introduces.append(_bits_of(rec, "introduces", eidx, i))
