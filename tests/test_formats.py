@@ -73,8 +73,8 @@ def _each(*mutations):
 
 
 # Each mutation of the seven-groups document leaves one field missing,
-# ill-typed or repeated, with the loader's message for it; node 1 is {a},
-# the bottom is node 0 and the top node 12.
+# ill-typed or at odds with the rest, paired with the loader's message for
+# it; node 1 is {a}, the bottom is node 0 and the top node 12.
 TAMPERS = [
     pytest.param(_drop("hypergraph"),
                  "document: 'hypergraph' is missing or not an object",
