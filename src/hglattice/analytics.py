@@ -10,11 +10,13 @@ A path query rejects a pruned endpoint before it searches.
 A path query is a breadth-first search over hyperedges that only walks
 down the covers: the intents of the nodes under an edge's anchor, with at
 least s vertices each, list exactly the edges that meet it in s or more
-vertices. Its distance is the exact s-distance (Aksoy et al., EPJ Data
-Science 9:16, 2020), and its lattice path is the cover walk through
-retained nodes that realises the path, not the fewest cover hops. The
-search stops as soon as its answer is fixed: at the first edge found that
-meets the target in s vertices, from which it walks to the target alone.
+vertices. Edges are walked in the order they are found, so they come in
+rounds of equal s-distance from the source. Its distance is the exact
+s-distance (Aksoy et al., EPJ Data Science 9:16, 2020), and its lattice
+path is the cover walk through retained nodes that realises the path, not
+the fewest cover hops. The search stops as soon as its answer is fixed: at
+the first edge found that meets the target in s vertices, from which it
+walks to the target alone.
 
 Connectivity is read off the lattice's ``component_forest``, built with
 the lattice for every s at once: a path query whose ends lie in different
@@ -97,8 +99,8 @@ def _component(lat: ConceptLattice, node: int, s: int) -> int:
 
 
 def _edge_search(lat: ConceptLattice, s: int, source: int, target: int):
-    """(cover walk, edges) of a fewest-hop s-path between two distinct
-    edges of one s-component.
+    """(cover walk, edges) of a fewest-hop s-path between two edges of one
+    s-component; from an edge to itself it is that edge's anchor alone.
 
     The nodes that meet the target in s or more vertices form an up-set,
     and a walk down from an edge's anchor reaches them exactly when the
@@ -107,15 +109,16 @@ def _edge_search(lat: ConceptLattice, s: int, source: int, target: int):
     search that went on none would before that edge's own walk, so
     walking from it alone, through the up-set, down to the first node
     under the target, leaves the links and valley that search would.
+
+    The path is then rebuilt from the target: down from each edge's anchor
+    to its valley over lower covers that contain the valley, then up the
+    links that reached the valley to the previous edge's anchor.
     """
-    # node -> the node above that reached it, or ~e at the anchor of edge e
-    down: dict[int, int] = {}
-    valley: dict[int, int] = {}
-    last = _last_hop(lat, s, source, target, down, valley)
-    lower = lat.lower_covers
+    last, down, valley = _last_hop(lat, s, source, target)
+    lower, anchors = lat.lower_covers, lat.edge_anchors
     intents, extents = lat.intent_bits, lat.extent_bits
     meets, goal = lat.hypergraph.chi.columns[target], 1 << target
-    root = lat.edge_anchors[last]
+    root = anchors[last]
     down[root] = ~last
     reached = [root]
     # Nodes outside the up-set lie above no node under the target.
@@ -127,61 +130,10 @@ def _edge_search(lat: ConceptLattice, s: int, source: int, target: int):
                 down[m] = n
                 reached.append(m)
     valley[target] = n
-    return _realising_walk(lat, source, target, down, valley)
-
-
-def _last_hop(lat, s, source, target, down, valley) -> int:
-    """The first edge the search finds that meets the target in s
-    vertices; the target lies in the source's s-component, so there is one.
-
-    Round k holds the edges at s-distance k; each round walks down from
-    its edges' anchors onto nodes with at least s vertices and takes the
-    unseen edges off their intents, filling ``down`` and ``valley``. The
-    first node where an edge turns up is its valley. A node is walked once
-    per query: when reached again, the nodes below it were walked already.
-    The search stops at the first edge found that meets the target.
-    """
-    columns = lat.hypergraph.chi.columns
-    meets = columns[target]
-    if (columns[source] & meets).bit_count() >= s:
-        return source
-    lower = lat.lower_covers
-    sizes, intents, anchors = lat.extent_sizes, lat.intent_bits, lat.edge_anchors
-    unseen = ((1 << lat.hypergraph.n_edges) - 1) ^ (1 << source)
-    level = [source]
-    while level:
-        nxt: list[int] = []
-        for e in level:
-            root = anchors[e]
-            if root in down:
-                continue
-            down[root] = ~e
-            reached = [root]
-            for n in reached:
-                hit = intents[n] & unseen
-                if hit:
-                    unseen ^= hit
-                    for f in iter_bits(hit):
-                        valley[f] = n
-                        if (columns[f] & meets).bit_count() >= s:
-                            return f
-                        nxt.append(f)
-                for m in lower[n]:
-                    if m not in down and sizes[m] >= s:
-                        down[m] = n
-                        reached.append(m)
-        level = nxt
-
-
-def _realising_walk(lat, source, target, down, valley):
-    """Rebuild the path from the target: down from each edge's anchor to
-    its valley over lower covers that contain the valley, then up the
-    links that reached the valley to the previous edge's anchor."""
-    lower, extents = lat.lower_covers, lat.extent_bits
     edges, walk = [target], []
     e = target
     while e != source:
-        n, v = lat.edge_anchors[e], valley[e]
+        n, v = anchors[e], valley[e]
         bits = extents[v]
         while n != v:
             walk.append(n)
@@ -191,8 +143,52 @@ def _realising_walk(lat, source, target, down, valley):
             n = up
         e = ~up
         edges.append(e)
-    walk.append(lat.edge_anchors[source])
+    walk.append(anchors[source])
     return walk[::-1], edges[::-1]
+
+
+def _last_hop(lat: ConceptLattice, s: int, source: int, target: int):
+    """(last edge, down, valley): the first edge the search finds that
+    meets the target in s vertices, with the links the search made. The
+    target lies in the source's s-component, so there is one.
+
+    Edges are walked in the order they are found, from the source, so
+    those at s-distance k come before those at k + 1. Each walks down
+    from its anchor onto nodes with at least s vertices, linking each node
+    it reaches in ``down`` to the node above it (``~e`` at the anchor of
+    edge e), and takes the unseen edges off their intents. The first node
+    where an edge turns up is its ``valley``. A node is walked once per
+    query: when reached again, the nodes below it were walked already.
+    """
+    columns = lat.hypergraph.chi.columns
+    meets = columns[target]
+    down: dict[int, int] = {}
+    valley: dict[int, int] = {}
+    if (columns[source] & meets).bit_count() >= s:
+        return source, down, valley
+    lower = lat.lower_covers
+    sizes, intents, anchors = lat.extent_sizes, lat.intent_bits, lat.edge_anchors
+    unseen = ((1 << lat.hypergraph.n_edges) - 1) ^ (1 << source)
+    found = [source]
+    for e in found:
+        root = anchors[e]
+        if root in down:
+            continue
+        down[root] = ~e
+        reached = [root]
+        for n in reached:
+            hit = intents[n] & unseen
+            if hit:
+                unseen ^= hit
+                for f in iter_bits(hit):
+                    valley[f] = n
+                    if (columns[f] & meets).bit_count() >= s:
+                        return f, down, valley
+                    found.append(f)
+            for m in lower[n]:
+                if m not in down and sizes[m] >= s:
+                    down[m] = n
+                    reached.append(m)
 
 
 def shortest_s_path(
@@ -225,7 +221,7 @@ def shortest_s_path(
             reason="disconnected",
         )
 
-    walk, edges = ([src], [a]) if a == b else _edge_search(lat, s, a, b)
+    walk, edges = _edge_search(lat, s, a, b)
     return SPathResult(
         lattice_path=tuple(walk),
         lattice_distance=len(walk) - 1,

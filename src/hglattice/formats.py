@@ -291,9 +291,10 @@ def document_to_lattice(doc: dict) -> ConceptLattice:
 
     aliases = {}
     for dup, rep in duplicates.items():
-        _require(type(rep) is str and rep in eidx,
-                 f"duplicate edge {dup!r} maps to unknown {rep!r}")
-        _require(dup not in eidx, f"duplicate edge {dup!r} is also an edge")
+        if type(rep) is not str or rep not in eidx:
+            raise ParseError(f"duplicate edge {dup!r} maps to unknown {rep!r}")
+        if dup in eidx:
+            raise ParseError(f"duplicate edge {dup!r} is also an edge")
         aliases[dup] = eidx[rep]
 
     # The walk stops at the first extent of the family that is not stored,
@@ -316,7 +317,7 @@ def document_to_lattice(doc: dict) -> ConceptLattice:
     if list(lat.intent_bits) != intents:
         i = next(i for i, x in enumerate(intents) if x != lat.intent_bits[i])
         raise ParseError(f"node {i}: stored intent disagrees with edge columns")
-    covers = [[lo, hi] for lo, hi in lat.covers]
+    covers = [[i, j] for i, ups in enumerate(lat.upper_covers) for j in ups]
     _require(_field(doc, "covers", list, "document") == covers,
              "stored covers disagree with node extents")
     _require(_field(doc, "top", int, "document") == lat.top_index,
@@ -339,8 +340,8 @@ def parse_lattice_document(text: str) -> ConceptLattice:
 def lattice_to_dot(lat: ConceptLattice) -> str:
     """Hasse diagram in DOT form, one edge per cover pair, nodes labelled
     ``{extent} : {intent}``. Backslashes and quotes in a label are escaped
-    and a line break is written as Graphviz's ``\\n``, so every name
-    prints as it is and every statement stays on one line."""
+    and line breaks are written as Graphviz's ``\\n`` and ``\\r``, so
+    every name prints as it is and every statement stays on one line."""
     lines = [
         "digraph lattice {",
         "  rankdir=BT;",
@@ -352,6 +353,7 @@ def lattice_to_dot(lat: ConceptLattice) -> str:
             .replace("\\", "\\\\")
             .replace('"', '\\"')
             .replace("\n", "\\n")
+            .replace("\r", "\\r")
         )
         lines.append(f'  n{i} [label="{label}"];')
     for lo, hi in lat.covers:

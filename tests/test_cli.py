@@ -13,6 +13,7 @@ from hglattice import (
     lattice,
     oracle,
     parse_edge_list,
+    uniform_hypergraph,
 )
 from hglattice.cli import main
 
@@ -163,6 +164,20 @@ class TestPath:
         )
         assert code == 0
         assert json.loads(out)["hyperedge_path"] == ["3", "2", "1"]
+
+    def test_unknown_suffix_is_sniffed_by_content(self, capsys, groups_csv, tmp_path):
+        # A document by its leading brace, anything else as an edge list.
+        doc_path = tmp_path / "lat.out"
+        edges_path = tmp_path / "groups.dat"
+        code, _, _ = run(capsys, "build", groups_csv, "-o", str(doc_path))
+        assert code == 0
+        edges_path.write_text("1: a, b\n2: b, c\n3: c, d\n")
+        for path in (doc_path, edges_path):
+            code, out, err = run(
+                capsys, "path", str(path), "--s", "1", "--from", "3", "--to", "1"
+            )
+            assert code == 0, err
+            assert json.loads(out)["hyperedge_path"] == ["3", "2", "1"]
 
     def test_unknown_edge_exit_1(self, capsys, groups_csv):
         code, _, err = run(
@@ -347,6 +362,22 @@ class TestGen:
             assert code == 1
             assert "exponent" in err
 
+    @pytest.mark.parametrize("model", ["chung-lu", "uniform"])
+    @pytest.mark.parametrize("sizes", [("-1", "3"), ("3", "-1")])
+    def test_negative_sizes_exit_1(self, capsys, model, sizes):
+        code, out, err = run(
+            capsys, "gen", "--vertices", sizes[0], "--edges", sizes[1],
+            "--model", model,
+        )
+        assert (code, out) == (1, "")
+        assert err == "error: sizes must be non-negative\n"
+
+    def test_uniform_probability_outside_unit_interval(self):
+        # The CLI always uses the default p, so this guard is library-only.
+        for p in (-0.1, 1.5, float("nan")):
+            with pytest.raises(ValueError, match="^incidence probability must lie in"):
+                uniform_hypergraph(3, 3, p=p)
+
     @pytest.mark.parametrize("argv, digest", [
         (("--vertices", "200", "--edges", "100", "--seed", "1"),
          "a53e7e371e6d8bd8de64072f4900ea6b250dd21cd3d37da38809e28c7a0ef9cc"),
@@ -464,3 +495,9 @@ class TestBench:
     def test_bad_sizes(self, capsys):
         code, _, err = run(capsys, "bench", "--sizes", "ten")
         assert code == 1
+
+    @pytest.mark.parametrize("argv", [("--sizes", "0"), ("--repeats", "0")])
+    def test_non_positive_sizes_and_repeats_exit_1(self, capsys, argv):
+        code, out, err = run(capsys, "bench", *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: sizes and repeats must be positive\n"

@@ -55,6 +55,33 @@ class TestFromEdgeList:
             from_edge_list([("dup", ["a"]), ("dup", ["b"])])
 
 
+class TestTableChecks:
+    @pytest.mark.parametrize("columns, message", [
+        ((0b01,), "expected 2 columns, got 1"),
+        ((0b01, 0b100), "column 1 has bits outside the 2-vertex range"),
+    ])
+    def test_incidence_matrix(self, columns, message):
+        with pytest.raises(IngestionError, match=f"^{message}$"):
+            IncidenceMatrix(2, 2, columns)
+
+    @pytest.mark.parametrize("vertices, edges, message", [
+        (("a",), ("e1",), "vertex table does not match matrix height"),
+        (("a", "b"), ("e1", "e2"), "edge table does not match matrix width"),
+    ])
+    def test_name_tables_match_the_matrix(self, vertices, edges, message):
+        with pytest.raises(IngestionError, match=f"^{message}$"):
+            Hypergraph(vertices, edges, IncidenceMatrix(2, 1, (0b11,)))
+
+    def test_lookups(self, seven_groups):
+        for edge in (-1, 7):
+            with pytest.raises(IndexError, match=f"^edge index {edge} out of range$"):
+                seven_groups.edge_column(edge)
+        with pytest.raises(KeyError, match="unknown vertex name 'z'"):
+            seven_groups.vertex_subset(["a", "z"])
+        with pytest.raises(KeyError, match="unknown edge name '8'"):
+            seven_groups.edge_subset(["1", "8"])
+
+
 class TestPrimes:
     def test_intent_of_g(self, seven_groups):
         a = seven_groups.vertex_subset(["g"])

@@ -836,6 +836,15 @@ class TestDotExport:
         assert '"{v\\\\n,\\"s\\"} : {e\\\\1,e2}"' in dot
         assert '"{v\\\\n,q\\nr,\\"s\\"} : {e2}"' in dot
 
+    def test_carriage_return_is_escaped(self, tmp_path):
+        # A universal-newline reader ends a line at a bare \r as well.
+        lat = build_lattice_naive(parse_edge_list("e1: a\rb, c\n"))
+        dot = lattice_to_dot(lat)
+        assert '  n0 [label="{a\\rb,c} : {e1}"];\n' in dot
+        path = tmp_path / "lattice.dot"
+        path.write_bytes(dot.encode())
+        assert path.read_text() == dot
+
     def test_single_node(self):
         lat = build_lattice_naive(from_edge_list([]))
         dot = lattice_to_dot(lat)

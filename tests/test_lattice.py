@@ -62,6 +62,9 @@ class TestNaiveBuilder:
                 contained = is_subset(lat.extent_bits[i], lat.extent_bits[j])
                 assert ((i, j) in order) == contained
 
+    def test_not_equal_to_other_types(self, seven_groups_lattice):
+        assert (seven_groups_lattice == object()) is False
+
     def test_single_edge_equal_to_top(self):
         lat = build_lattice_naive(from_edge_list([("1", ["a", "b"])]))
         assert len(lat) == 1

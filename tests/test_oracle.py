@@ -34,6 +34,10 @@ class TestSLineGraph:
         assert g.nodes == ()
         assert g.edges() == set()
 
+    def test_s_below_one(self, seven_groups):
+        with pytest.raises(ValueError, match="^s must be a positive integer, got 0$"):
+            s_line_graph(seven_groups, 0)
+
     def test_adjacency_symmetric_irreflexive(self):
         for seed in range(30):
             h = random_dedup_hypergraph(seed)
