@@ -291,16 +291,16 @@ def depth_statistics(lat: ConceptLattice) -> DepthStatistics:
     for i in range(n - 1, -1, -1):
         if i == lat.top_index:
             continue
-        min_top[i] = 1 + min(min_top[j] for j in upper[i])
-        max_top[i] = 1 + max(max_top[j] for j in upper[i])
+        min_top[i] = 1 + min(map(min_top.__getitem__, upper[i]))
+        max_top[i] = 1 + max(map(max_top.__getitem__, upper[i]))
 
     min_bot = [0] * n
     max_bot = [0] * n
     for i in range(n):
         if i == lat.bottom_index:
             continue
-        min_bot[i] = 1 + min(min_bot[j] for j in lower[i])
-        max_bot[i] = 1 + max(max_bot[j] for j in lower[i])
+        min_bot[i] = 1 + min(map(min_bot.__getitem__, lower[i]))
+        max_bot[i] = 1 + max(map(max_bot.__getitem__, lower[i]))
 
     return DepthStatistics(
         tuple(min_top), tuple(max_top), tuple(min_bot), tuple(max_bot)

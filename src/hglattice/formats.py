@@ -21,7 +21,7 @@ from .core import (
     from_edge_list,
     iter_bits,
 )
-from .lattice import ConceptLattice, walk_lattice
+from .lattice import ConceptLattice, names_of, walk_lattice
 
 
 class ParseError(ValueError):
@@ -79,7 +79,7 @@ def format_edge_list(h: Hypergraph) -> str:
     lines = []
     for name, column in zip(h.edge_names, h.chi.columns):
         _require_writable("edge", name, "#,:")
-        members = [h.vertex_names[k] for k in iter_bits(column)]
+        members = names_of(h.vertex_names, column)
         lines.append(f"{name}: {', '.join(members)}".rstrip())
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -163,16 +163,30 @@ def serialize_lattice(lat: ConceptLattice) -> str:
         f"{encode(name)}: {edges[rep]}"
         for name, rep in islice(lat.edge_aliases.items(), h.n_edges, None)
     ]
+    # Inside a node the names come each after its line break and indent,
+    # so a non-empty array is one join.
+    vertex_lines = ["\n        " + name for name in vertices]
+    edge_lines = ["\n        " + name for name in edges]
+
+    def block(names: list[str]) -> str:
+        return "[" + ",".join(names) + "\n      ]" if names else "[]"
+
     anchored = lat.anchored_edges
     nodes = [
         f'{{\n      "id": {i},\n'
-        f'      "extent": {_block([vertices[k] for k in iter_bits(extent)], 6)},\n'
-        f'      "intent": {_block([edges[j] for j in iter_bits(intent)], 6)},\n'
-        f'      "introduces": {_block([edges[j] for j in anchored.get(i, ())], 6)}\n'
+        f'      "extent": {block(names_of(vertex_lines, extent))},\n'
+        f'      "intent": {block(names_of(edge_lines, intent))},\n'
+        f'      "introduces": {block([edge_lines[j] for j in anchored.get(i, ())])}\n'
         "    }"
         for i, (extent, intent) in enumerate(zip(lat.extent_bits, lat.intent_bits))
     ]
-    covers = [f"[\n      {lo},\n      {hi}\n    ]" for lo, hi in lat.covers]
+    # A cover pair is its lower node's head plus its upper node's tail,
+    # each formatted once.
+    tails = [f"{j}\n    ]" for j in range(len(lat))]
+    covers = []
+    for i, ups in enumerate(lat.upper_covers):
+        head = f"[\n      {i},\n      "
+        covers += [head + tails[j] for j in ups]
     return (
         f'{{\n  "format": {encode(DOCUMENT_FORMAT)},\n'
         '  "hypergraph": {\n'

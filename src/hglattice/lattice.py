@@ -39,7 +39,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 from .core import Hypergraph, IncidenceMatrix, dedup_edges, iter_bits
 
@@ -52,9 +52,20 @@ from .core import Hypergraph, IncidenceMatrix, dedup_edges, iter_bits
 _SORT_BYTE = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
 
 
-def _names(table: tuple[str, ...], bits: int) -> tuple[str, ...]:
-    """The names in ``table`` at the set bits of ``bits``, ascending."""
-    return tuple(table[k] for k in iter_bits(bits))
+def names_of(table: Sequence[str], bits: int) -> list[str]:
+    """The names in ``table`` at the set bits of ``bits``, ascending.
+
+    The bits are taken from the high one down, so each costs one
+    ``bit_length`` and one XOR, with no generator and no ``bits & -bits``;
+    the list is reversed once at the end.
+    """
+    out = []
+    while bits:
+        k = bits.bit_length() - 1
+        out.append(table[k])
+        bits ^= 1 << k
+    out.reverse()
+    return out
 
 
 @dataclass(frozen=True)
@@ -233,8 +244,8 @@ class ConceptLattice:
     def node_label(self, node: int) -> str:
         """Galois label ``{extent names} : {intent names}``."""
         h = self.hypergraph
-        ext = ",".join(_names(h.vertex_names, self.extent_bits[node]))
-        intn = ",".join(_names(h.edge_names, self.intent_bits[node]))
+        ext = ",".join(names_of(h.vertex_names, self.extent_bits[node]))
+        intn = ",".join(names_of(h.edge_names, self.intent_bits[node]))
         return "{%s} : {%s}" % (ext, intn)
 
     def resolve_edge(self, name: str) -> int:
@@ -429,8 +440,8 @@ def galois_labels(lat: ConceptLattice) -> list[GaloisLabel]:
         out.append(
             GaloisLabel(
                 node=i,
-                extent_names=_names(h.vertex_names, extent),
-                intent_names=_names(h.edge_names, intent),
+                extent_names=tuple(names_of(h.vertex_names, extent)),
+                intent_names=tuple(names_of(h.edge_names, intent)),
                 introduced_edges=tuple(
                     h.edge_names[j] for j in anchored.get(i, ())
                 ),

@@ -17,6 +17,8 @@ from conftest import (
 from hglattice import (
     ParseError,
     build_lattice_naive,
+    build_lattice_vectorized,
+    chung_lu_hypergraph,
     edge_anchor,
     format_edge_list,
     from_edge_list,
@@ -27,6 +29,7 @@ from hglattice import (
     parse_lattice_document,
     s_connected_components,
     serialize_lattice,
+    uniform_hypergraph,
 )
 from hglattice.core import iter_bits
 
@@ -805,15 +808,47 @@ class TestDocumentLayout:
             assert part in text
         assert parse_lattice_document(text) == lat
 
+    @pytest.mark.parametrize("h", [
+        pytest.param(chung_lu_hypergraph(200, 100, 2.2, seed=5), id="chung-lu-200x100"),
+        pytest.param(uniform_hypergraph(60, 40, seed=0), id="uniform-60x40"),
+    ])
+    def test_multi_digit_ids(self, h):
+        # RANDOM_SEEDS stop at 8 edges: here node ids and cover ends run to
+        # three or four digits.
+        lat = build_quiet(build_lattice_vectorized, h)
+        assert len(lat) > 100
+        text = serialize_lattice(lat)
+        assert_json_layout(text)
+        assert parse_lattice_document(text) == lat
+
+
+# Escapes lattice_to_dot writes in a label, and the characters they stand for.
+DOT_UNESCAPE = {"\\": "\\", '"': '"', "n": "\n", "r": "\r"}
+
+
+def assert_dot_statements(lat, dot):
+    """Each node and arrow statement of ``dot`` is exactly one ``"\\n"``
+    line, and each label unescapes back to ``lat.node_label``."""
+    lines = dot.split("\n")
+    assert lines[-1] == "" and lines[-2] == "}"
+    node_lines = lines[3:3 + len(lat)]
+    for i, line in enumerate(node_lines):
+        quoted = re.fullmatch(r'  n(\d+) \[label="((?:[^"\\]|\\.)*)"\];', line)
+        assert quoted and int(quoted[1]) == i
+        assert set(re.findall(r"\\(.)", quoted[2])) <= set(DOT_UNESCAPE)
+        label = re.sub(r"\\(.)", lambda m: DOT_UNESCAPE[m[1]], quoted[2])
+        assert label == lat.node_label(i)
+    assert lines[3 + len(lat):-2] == [f"  n{lo} -> n{hi};" for lo, hi in lat.covers]
+
 
 class TestDotExport:
     def test_seven_groups_shape(self, seven_groups_lattice):
         dot = lattice_to_dot(seven_groups_lattice)
         assert dot.startswith("digraph lattice {")
         assert dot.rstrip().endswith("}")
-        arrow_lines = [l for l in dot.splitlines() if "->" in l]
+        arrow_lines = [l for l in dot.split("\n") if "->" in l]
         assert len(arrow_lines) == len(seven_groups_lattice.covers) == 19
-        node_lines = [l for l in dot.splitlines() if "[label=" in l and "->" not in l]
+        node_lines = [l for l in dot.split("\n") if "[label=" in l and "->" not in l]
         assert len(node_lines) == 13
         assert '"{a,d} : {2,3}"' in dot
         assert '"{g} : {5,6,7}"' in dot
@@ -824,17 +859,20 @@ class TestDotExport:
         text = ',"e\\1",e2\n"v\\n",1,1\n"q\nr",0,1\n"""s""",1,1\n'
         lat = build_quiet(build_lattice_naive, parse_incidence_csv(text))
         dot = lattice_to_dot(lat)
-        node_lines = [l for l in dot.splitlines() if "[label=" in l]
-        assert len(node_lines) == len(lat)
-        unescape = {"\\": "\\", '"': '"', "n": "\n"}
-        for i, line in enumerate(node_lines):
-            quoted = re.fullmatch(r'  n(\d+) \[label="((?:[^"\\]|\\.)*)"\];', line)
-            assert quoted and int(quoted[1]) == i
-            assert set(re.findall(r"\\(.)", quoted[2])) <= set(unescape)
-            label = re.sub(r"\\(.)", lambda m: unescape[m[1]], quoted[2])
-            assert label == lat.node_label(i)
+        assert_dot_statements(lat, dot)
         assert '"{v\\\\n,\\"s\\"} : {e\\\\1,e2}"' in dot
         assert '"{v\\\\n,q\\nr,\\"s\\"} : {e2}"' in dot
+
+    def test_other_line_separators_stay_in_one_statement(self):
+        # Names holding characters that str.splitlines() also splits at
+        # are written raw: DOT ends a statement at "\n" only.
+        separators = "\x0b\x0c\x1c\x1d\x1e\x85\u2028\u2029"
+        lines = [f"e{k}{ch}x: a{ch}b, c{k}" for k, ch in enumerate(separators)]
+        lines.append("all: " + ", ".join(f"a{ch}b" for ch in separators))
+        lat = build_quiet(build_lattice_naive, parse_edge_list("\n".join(lines)))
+        dot = lattice_to_dot(lat)
+        assert len(dot.splitlines()) > len(dot.split("\n"))
+        assert_dot_statements(lat, dot)
 
     def test_carriage_return_is_escaped(self, tmp_path):
         # A universal-newline reader ends a line at a bare \r as well.

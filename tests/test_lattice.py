@@ -28,7 +28,7 @@ from hglattice import (
     verify_isomorphism,
 )
 from hglattice.core import Hypergraph, IncidenceMatrix, dedup_edges, iter_bits
-from hglattice.lattice import concept_neighbours
+from hglattice.lattice import concept_neighbours, names_of
 
 
 def name_pairs(lat):
@@ -397,6 +397,32 @@ class TestVerifyIsomorphism:
             h = random_dedup_hypergraph(seed)
             lat = build_lattice_naive(h)
             assert verify_isomorphism(lat, enumerate_concepts_oracle(h))
+
+
+# A name for every bit the widest Hypothesis set below can hold.
+NAME_TABLE = tuple(f"n{k}" for k in range(4096))
+
+
+class TestNamesOf:
+    """``names_of`` walks a set from its high bit down; it must list the
+    same names, in the same order, as the ascending ``iter_bits``."""
+
+    @staticmethod
+    def reference(bits):
+        return [NAME_TABLE[k] for k in iter_bits(bits)]
+
+    @pytest.mark.parametrize("bits", [0, 1, 1 << 4095, (1 << 4095) | 1],
+                             ids=["empty", "bit-0", "high-bit", "both-ends"])
+    def test_edge_cases(self, bits):
+        assert names_of(NAME_TABLE, bits) == self.reference(bits)
+
+    @settings(max_examples=150, deadline=None)
+    @given(bits=st.integers(min_value=0, max_value=4096).flatmap(
+               lambda width: st.integers(min_value=0, max_value=(1 << width) - 1))
+           | st.sets(st.integers(min_value=0, max_value=4095), max_size=40).map(
+               lambda ks: sum(1 << k for k in ks)))
+    def test_matches_iter_bits(self, bits):
+        assert names_of(NAME_TABLE, bits) == self.reference(bits)
 
 
 class TestGaloisLabels:
