@@ -11,15 +11,18 @@ operators. A set passed to a function here must fit its hypergraph: a
 negative int, or one with a bit past the vertex or edge count, raises
 ``DimensionError``.
 
-All types are immutable after construction; operations are pure functions,
-so values can be shared freely across threads.
+All types are immutable after construction, except that a ``Hypergraph``
+builds its ``vertex_index`` and ``edge_index`` dicts on first use
+(``cached_property``) and keeps them. Both are derived from the name
+tables, and operations are pure functions, so values can be shared across
+threads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 class DimensionError(ValueError):
@@ -44,6 +47,22 @@ def iter_bits(bits: int) -> Iterator[int]:
         low = bits & -bits
         yield low.bit_length() - 1
         bits ^= low
+
+
+def names_of(table: Sequence[str], bits: int) -> list[str]:
+    """The names in ``table`` at the set bits of ``bits``, ascending.
+
+    The bits are taken from the high one down, so each costs one
+    ``bit_length`` and one XOR, with no generator and no ``bits & -bits``;
+    the list is reversed once at the end.
+    """
+    out = []
+    while bits:
+        k = bits.bit_length() - 1
+        out.append(table[k])
+        bits ^= 1 << k
+    out.reverse()
+    return out
 
 
 def _check_set(bits: int, width: int, kind: str):
@@ -118,11 +137,11 @@ class Hypergraph:
 
     def vertex_names_of(self, vs: int) -> tuple[str, ...]:
         _check_set(vs, self.n_vertices, "vertex")
-        return tuple(self.vertex_names[i] for i in iter_bits(vs))
+        return tuple(names_of(self.vertex_names, vs))
 
     def edge_names_of(self, es: int) -> tuple[str, ...]:
         _check_set(es, self.n_edges, "edge")
-        return tuple(self.edge_names[i] for i in iter_bits(es))
+        return tuple(names_of(self.edge_names, es))
 
     def edge_column(self, edge: int) -> int:
         if not 0 <= edge < self.n_edges:

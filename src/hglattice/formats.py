@@ -20,8 +20,9 @@ from .core import (
     IngestionError,
     from_edge_list,
     iter_bits,
+    names_of,
 )
-from .lattice import ConceptLattice, names_of, walk_lattice
+from .lattice import ConceptLattice, walk_lattice
 
 
 class ParseError(ValueError):
@@ -318,7 +319,7 @@ def document_to_lattice(doc: dict) -> ConceptLattice:
         if y not in stored:
             if y == (1 << nv) - 1:
                 raise ParseError("the full vertex set is not a node extent")
-            names = ",".join(vertex_names[k] for k in iter_bits(y))
+            names = ",".join(names_of(vertex_names, y))
             raise ParseError(
                 f"the column intersection {{{names}}} is not a node extent")
         found[y] = lower

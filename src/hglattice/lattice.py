@@ -30,18 +30,17 @@ intent is the set of edges anchored at X or above it (the reduced labels
 of Ganter & Wille, 1999). The two builders' outputs must compare equal
 byte for byte; the test suite enforces that, plus agreement with the
 powerset enumeration of the concepts by the prime operators in
-``oracle``. This module holds the builders, the lattice and its labels
-only.
+``oracle``. This module holds the builders and the lattice only; a
+node's label is ``ConceptLattice.node_label``.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from itertools import islice
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
-from .core import Hypergraph, IncidenceMatrix, dedup_edges, iter_bits
+from .core import Hypergraph, IncidenceMatrix, dedup_edges, iter_bits, names_of
 
 
 # Byte b with its bits reversed and complemented. For extents of one size,
@@ -50,32 +49,6 @@ from .core import Hypergraph, IncidenceMatrix, dedup_edges, iter_bits
 # bit of the first byte, that is the lexicographic order of the
 # little-endian bytes translated through this table.
 _SORT_BYTE = bytes(255 - int(f"{b:08b}"[::-1], 2) for b in range(256))
-
-
-def names_of(table: Sequence[str], bits: int) -> list[str]:
-    """The names in ``table`` at the set bits of ``bits``, ascending.
-
-    The bits are taken from the high one down, so each costs one
-    ``bit_length`` and one XOR, with no generator and no ``bits & -bits``;
-    the list is reversed once at the end.
-    """
-    out = []
-    while bits:
-        k = bits.bit_length() - 1
-        out.append(table[k])
-        bits ^= 1 << k
-    out.reverse()
-    return out
-
-
-@dataclass(frozen=True)
-class GaloisLabel:
-    """Name-level annotation of one lattice node."""
-
-    node: int
-    extent_names: tuple[str, ...]
-    intent_names: tuple[str, ...]
-    introduced_edges: tuple[str, ...]
 
 
 class ConceptLattice:
@@ -249,20 +222,12 @@ class ConceptLattice:
         return "{%s} : {%s}" % (ext, intn)
 
     def resolve_edge(self, name: str) -> int:
-        """Deduplicated edge index for an edge name, duplicates included."""
+        """Deduplicated edge index for an edge name, duplicates included;
+        ``edge_anchors[resolve_edge(name)]`` is the named edge's node."""
         try:
             return self.edge_aliases[name]
         except KeyError:
             raise KeyError(f"unknown edge name {name!r}") from None
-
-
-def edge_anchor(lat: ConceptLattice, name: str) -> int:
-    """Node whose extent equals the named edge's column.
-
-    Duplicate edges of the source hypergraph resolve to their
-    representative's anchor; an unknown name raises KeyError.
-    """
-    return lat.edge_anchors[lat.resolve_edge(name)]
 
 
 def _prepare(h: Hypergraph) -> tuple[Hypergraph, dict[str, int]]:
@@ -429,22 +394,3 @@ def build_lattice_vectorized(h: Hypergraph) -> ConceptLattice:
     return ConceptLattice(
         reduced, dict(walk_lattice(reduced.chi)), edge_aliases
     )
-
-
-def galois_labels(lat: ConceptLattice) -> list[GaloisLabel]:
-    """Per-node name-level labels, including the edges each node introduces."""
-    h = lat.hypergraph
-    anchored = lat.anchored_edges
-    out = []
-    for i, (extent, intent) in enumerate(zip(lat.extent_bits, lat.intent_bits)):
-        out.append(
-            GaloisLabel(
-                node=i,
-                extent_names=tuple(names_of(h.vertex_names, extent)),
-                intent_names=tuple(names_of(h.edge_names, intent)),
-                introduced_edges=tuple(
-                    h.edge_names[j] for j in anchored.get(i, ())
-                ),
-            )
-        )
-    return out

@@ -18,9 +18,7 @@ from hglattice import (
     dedup_edges,
     depth_histograms,
     depth_statistics,
-    edge_anchor,
     from_edge_list,
-    galois_labels,
     lattice_to_dot,
     oracle_components,
     oracle_shortest_s_path,
@@ -348,7 +346,8 @@ class TestSharedAdjacency:
                 ), (seed, s)
                 for a in h.edge_names:
                     for b in h.edge_names:
-                        src, dst = edge_anchor(lat, a), edge_anchor(lat, b)
+                        src = lat.edge_anchors[lat.resolve_edge(a)]
+                        dst = lat.edge_anchors[lat.resolve_edge(b)]
                         if src not in view.retained:
                             expected = "source-pruned"
                         elif dst not in view.retained:
@@ -529,7 +528,8 @@ class TestComponentForest:
             lattice_to_dot(lat)
             lat.covers
             depth_histograms(lat)
-            galois_labels(lat)
+            for i in range(len(lat)):
+                lat.node_label(i)
             assert vars(lat) == before, seed
 
     def test_disconnected_answers_need_no_covers(self, seven_groups):

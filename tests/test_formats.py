@@ -19,7 +19,6 @@ from hglattice import (
     build_lattice_naive,
     build_lattice_vectorized,
     chung_lu_hypergraph,
-    edge_anchor,
     format_edge_list,
     from_edge_list,
     lattice,
@@ -542,7 +541,8 @@ class TestLatticeDocument:
         again = parse_lattice_document(serialize_lattice(lat))
         assert again == lat
         assert again.resolve_edge("q") == again.resolve_edge("p")
-        assert edge_anchor(again, "q") == edge_anchor(again, "p")
+        anchors = again.edge_anchors
+        assert anchors[again.resolve_edge("q")] == anchors[again.resolve_edge("p")]
 
     def test_duplicate_edge_order_does_not_change_answers(self):
         h = from_edge_list([

@@ -16,10 +16,8 @@ from hglattice import (
     build_lattice_vectorized,
     chung_lu_hypergraph,
     depth_histograms,
-    edge_anchor,
     enumerate_concepts_oracle,
     from_edge_list,
-    galois_labels,
     intent_prime,
     lattice,
     parse_lattice_document,
@@ -27,8 +25,14 @@ from hglattice import (
     uniform_hypergraph,
     verify_isomorphism,
 )
-from hglattice.core import Hypergraph, IncidenceMatrix, dedup_edges, iter_bits
-from hglattice.lattice import concept_neighbours, names_of
+from hglattice.core import (
+    Hypergraph,
+    IncidenceMatrix,
+    dedup_edges,
+    iter_bits,
+    names_of,
+)
+from hglattice.lattice import concept_neighbours
 
 
 def name_pairs(lat):
@@ -110,7 +114,8 @@ class TestNaiveBuilder:
         assert lat.hypergraph.edge_names == ("p", "r")
         assert lat.edge_aliases == {"p": 0, "q": 0, "r": 1}
         # duplicate edges resolve to their representative's anchor
-        assert edge_anchor(lat, "q") == edge_anchor(lat, "p")
+        anchors = lat.edge_anchors
+        assert anchors[lat.resolve_edge("q")] == anchors[lat.resolve_edge("p")]
 
 
 class TestVectorizedBuilder:
@@ -322,6 +327,7 @@ class TestVerifyIsomorphism:
         )
         assert check
         assert check.detail == ""
+        assert repr(check) == "IsomorphismResult(ok=True, detail='')"
 
     def test_mutated_lattice_false(self, seven_groups, seven_groups_lattice):
         # drop a non-anchor node so the mutant stays constructible
@@ -381,6 +387,10 @@ class TestVerifyIsomorphism:
         check = verify_isomorphism(mutant, enumerate_concepts_oracle(seven_groups))
         assert not check
         assert check.detail == "lattice extent [2] is not a concept"
+        assert repr(check) == (
+            "IsomorphismResult(ok=False, "
+            "detail='lattice extent [2] is not a concept')"
+        )
 
     def test_wrong_intent_false(self, seven_groups, seven_groups_lattice):
         # The top's intent is empty; give it edge 1 and leave the rest.
@@ -425,26 +435,29 @@ class TestNamesOf:
         assert names_of(NAME_TABLE, bits) == self.reference(bits)
 
 
+def node_of(lat, vertices):
+    """The node whose extent is exactly the named vertices."""
+    return lat.extent_bits.index(lat.hypergraph.vertex_subset(vertices))
+
+
 class TestGaloisLabels:
     def test_edge7_introduced_at_g_node(self, seven_groups_lattice):
         lat = seven_groups_lattice
-        labels = {tuple(sorted(l.extent_names)): l for l in galois_labels(lat)}
-        g_node = labels[("g",)]
-        assert set(g_node.intent_names) == {"5", "6", "7"}
-        assert g_node.introduced_edges == ("7",)
+        g_node = node_of(lat, "g")
+        assert lat.node_label(g_node) == "{g} : {5,6,7}"
+        assert lat.anchored_edges[g_node] == (lat.hypergraph.edge_index["7"],)
 
     def test_top_introduces_nothing(self, seven_groups_lattice):
         lat = seven_groups_lattice
-        top = galois_labels(lat)[lat.top_index]
-        assert top.intent_names == ()
-        assert top.introduced_edges == ()
+        top = lat.top_index
+        assert lat.node_label(top) == "{a,b,c,d,e,f,g} : {}"
+        assert top not in lat.anchored_edges
 
     def test_ad_introduces_edge3(self, seven_groups_lattice):
-        labels = {
-            tuple(sorted(l.extent_names)): l
-            for l in galois_labels(seven_groups_lattice)
-        }
-        assert labels[("a", "d")].introduced_edges == ("3",)
+        lat = seven_groups_lattice
+        ad = node_of(lat, "ad")
+        assert lat.node_label(ad) == "{a,d} : {2,3}"
+        assert lat.anchored_edges[ad] == (lat.hypergraph.edge_index["3"],)
 
     def test_labels_partition_edges(self):
         for seed in range(40):
@@ -478,23 +491,23 @@ class TestGaloisLabels:
 class TestAnchors:
     def test_seven_groups_anchors(self, seven_groups, seven_groups_lattice):
         lat = seven_groups_lattice
-        node7 = edge_anchor(lat, "7")
+        node7 = lat.edge_anchors[lat.resolve_edge("7")]
         assert lat.extent_bits[node7] == seven_groups.vertex_subset("g")
-        node2 = edge_anchor(lat, "2")
+        node2 = lat.edge_anchors[lat.resolve_edge("2")]
         assert lat.extent_bits[node2] == seven_groups.vertex_subset("abcd")
 
     def test_single_edge_anchor(self):
         lat = build_lattice_naive(from_edge_list([("1", ["a", "b"])]))
-        assert edge_anchor(lat, "1") == 0
-        with pytest.raises(KeyError, match="unknown edge name"):
-            edge_anchor(lat, "2")
+        assert lat.edge_anchors[lat.resolve_edge("1")] == 0
+        with pytest.raises(KeyError, match="unknown edge name '2'"):
+            lat.resolve_edge("2")
 
     def test_anchor_extent_equals_column(self):
         for seed in range(40):
             h = random_dedup_hypergraph(seed)
             lat = build_lattice_naive(h)
             for j, name in enumerate(h.edge_names):
-                node = edge_anchor(lat, name)
+                node = lat.edge_anchors[lat.resolve_edge(name)]
                 assert lat.extent_bits[node] == h.edge_column(j)
 
 
