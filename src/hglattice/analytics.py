@@ -16,7 +16,9 @@ s-distance (Aksoy et al., EPJ Data Science 9:16, 2020), and its lattice
 path is the cover walk through retained nodes that realises the path, not
 the fewest cover hops. The search stops as soon as its answer is fixed: at
 the first edge found that meets the target in s vertices, from which it
-walks to the target alone.
+walks alone to the first node it reaches under the target. Nodes are taken
+in the order they are reached, so that is the first such node a walk that
+checked each node as it took it would stop at.
 
 Connectivity is read off the lattice's ``component_forest``, built with
 the lattice for every s at once: a path query whose ends lie in different
@@ -107,8 +109,11 @@ def _edge_search(lat: ConceptLattice, s: int, source: int, target: int):
     edge meets the target in s vertices. ``_last_hop`` stops at the first
     edge found that does. No walk so far touched the up-set, and in a
     search that went on none would before that edge's own walk, so
-    walking from it alone, through the up-set, down to the first node
-    under the target, leaves the links and valley that search would.
+    walking from it alone, through the up-set, to the first node it
+    reaches under the target leaves the links and valley that search
+    would. Nodes are taken in the order they are reached, so a walk that
+    checked each node as it took it would stop at that node too; the
+    links it would add after reaching it lie on no path to it.
 
     The path is then rebuilt from the target: down from each edge's anchor
     to its valley over lower covers that contain the valley, then up the
@@ -120,16 +125,22 @@ def _edge_search(lat: ConceptLattice, s: int, source: int, target: int):
     meets, goal = lat.hypergraph.chi.columns[target], 1 << target
     root = anchors[last]
     down[root] = ~last
-    reached = [root]
+    # The anchor lies under the target already when the last edge is
+    # inside it: the source inside the target, or a self-path.
+    valley[target] = root
+    reached = [] if intents[root] & goal else [root]
     # Nodes outside the up-set lie above no node under the target.
     for n in reached:
-        if intents[n] & goal:
-            break
         for m in lower[n]:
             if m not in down and (extents[m] & meets).bit_count() >= s:
                 down[m] = n
+                if intents[m] & goal:
+                    valley[target] = m
+                    break
                 reached.append(m)
-    valley[target] = n
+        else:
+            continue
+        break
     edges, walk = [target], []
     e = target
     while e != source:
@@ -137,7 +148,10 @@ def _edge_search(lat: ConceptLattice, s: int, source: int, target: int):
         bits = extents[v]
         while n != v:
             walk.append(n)
-            n = next(m for m in lower[n] if extents[m] & bits == bits)
+            for m in lower[n]:
+                if extents[m] & bits == bits:
+                    n = m
+                    break
         while (up := down[n]) >= 0:
             walk.append(n)
             n = up
@@ -211,7 +225,7 @@ def shortest_s_path(
         if lat.extent_sizes[node] < s:
             raise NoSPathError(
                 f"no {s}-path: {role} edge {name!r} has fewer than {s} "
-                f"vertices and is pruned",
+                f"{'vertex' if s == 1 else 'vertices'} and is pruned",
                 reason=f"{role}-pruned",
             )
     if _component(lat, src, s) != _component(lat, dst, s):

@@ -1,9 +1,10 @@
 import copy
 import hashlib
+import random
 import sys
 import threading
 import warnings
-from collections import deque
+from collections import Counter, deque
 
 import pytest
 
@@ -28,6 +29,7 @@ from hglattice import (
     s_connected_components,
     serialize_lattice,
     shortest_s_path,
+    uniform_hypergraph,
 )
 
 
@@ -112,6 +114,23 @@ class TestShortestSPath:
     def test_unknown_edge(self, seven_groups_lattice):
         with pytest.raises(KeyError):
             shortest_s_path(seven_groups_lattice, 1, "3", "99")
+
+    def test_pruned_message_counts_vertices(self):
+        lat = build_lattice_naive(
+            from_edge_list([("p", []), ("q", ["a", "b"]), ("r", ["a", "b", "c"])])
+        )
+        with pytest.raises(
+            NoSPathError,
+            match=r"^no 1-path: source edge 'p' has fewer than 1 vertex and is pruned$",
+        ) as exc:
+            shortest_s_path(lat, 1, "p", "q")
+        assert exc.value.reason == "source-pruned"
+        with pytest.raises(
+            NoSPathError,
+            match=r"^no 3-path: target edge 'q' has fewer than 3 vertices and is pruned$",
+        ) as exc:
+            shortest_s_path(lat, 3, "r", "q")
+        assert exc.value.reason == "target-pruned"
 
     def test_non_anchor_peak_gets_witnessed(self):
         # only f1 and f2 meet both x and y, and {a,b}, under both of them,
@@ -440,8 +459,10 @@ def all_pairs(lat, s_values):
 
 class TestSearchAnswersPinned:
     """Queries stop early (the last round walks from one edge; ends in
-    different s-components run no search); these digests of every answer
-    were taken before either existed, so tie-breaks cannot move."""
+    different s-components run no search); the digests of the random and
+    Chung-Lu 200x100 answers were taken before either existed, so
+    tie-breaks cannot move. The dense and ladder digests were taken before
+    the last walk stopped at the first node it reaches under the target."""
 
     def test_random_instances(self):
         answers = []
@@ -462,6 +483,28 @@ class TestSearchAnswersPinned:
             "5ab746eb4d262c5a1cad9386ef75390d446007e3e0f46931d4fb4717348541bf"
         )
 
+    def test_dense_lattice(self):
+        h, _ = dedup_edges(uniform_hypergraph(60, 40, 0.25, seed=0))
+        lat = build_lattice_vectorized(h)
+        answers = [path_answer(lat, *q) for q in all_pairs(lat, (1, 2, 3, 4))]
+        assert answers_digest(answers) == (
+            "66ccf7cd3f48c85c87129790290a9545a338c3824c217de39e4c3caf41336644"
+        )
+
+    def test_ladder_lattice(self):
+        # bench-shaped queries: s, source and target drawn independently
+        h, _ = dedup_edges(chung_lu_hypergraph(2000, 1000, 2.2, seed=42))
+        lat = build_lattice_vectorized(h)
+        rng, names = random.Random(0), h.edge_names
+        queries = [
+            (rng.choice((1, 2, 3)), rng.choice(names), rng.choice(names))
+            for _ in range(2000)
+        ]
+        answers = [path_answer(lat, *q) for q in queries]
+        assert answers_digest(answers) == (
+            "7355c413c1ccb8995d0e303ed11f6bb10bbacf494e15eea166c13fd2bfa5fbd2"
+        )
+
     def test_last_hop_from_a_later_frontier_edge(self):
         # x's round-1 frontier is f1 (found under {a}), then f2 (under
         # {b}); f1 misses y and f2 meets it in d. Both walks would pass {g}.
@@ -476,6 +519,95 @@ class TestSearchAnswersPinned:
         assert res.lattice_path == (5, 2, 8, 4, 6)
         labels = [extent_names(lat, n) for n in res.lattice_path]
         assert labels == [{"a", "b"}, {"b"}, {"b", "d", "g"}, {"d"}, {"d", "e"}]
+
+
+def pop_time_edge_search(lat, s, source, target):
+    """``analytics._edge_search`` with the last walk checking each node for
+    the target when it takes it, not when it reaches it."""
+    last, down, valley = analytics._last_hop(lat, s, source, target)
+    lower, anchors = lat.lower_covers, lat.edge_anchors
+    intents, extents = lat.intent_bits, lat.extent_bits
+    meets, goal = lat.hypergraph.chi.columns[target], 1 << target
+    root = anchors[last]
+    down[root] = ~last
+    reached = [root]
+    for n in reached:
+        if intents[n] & goal:
+            break
+        for m in lower[n]:
+            if m not in down and (extents[m] & meets).bit_count() >= s:
+                down[m] = n
+                reached.append(m)
+    valley[target] = n
+    edges, walk = [target], []
+    e = target
+    while e != source:
+        n, v = anchors[e], valley[e]
+        bits = extents[v]
+        while n != v:
+            walk.append(n)
+            n = next(m for m in lower[n] if extents[m] & bits == bits)
+        while (up := down[n]) >= 0:
+            walk.append(n)
+            n = up
+        e = ~up
+        edges.append(e)
+    walk.append(anchors[source])
+    return walk[::-1], edges[::-1]
+
+
+class TestLastWalkStopsOnReach:
+    """The last walk of a search stops at the first node it reaches under
+    the target; these hold it to the walk that stops on taking that node."""
+
+    def test_random_instances(self):
+        # every pair of kept edges in one s-component, duplicates dropped
+        hops, inside = Counter(), 0
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            lattices = [build_lattice_naive(random_hypergraph(seed)) for seed in range(200)]
+        for seed, lat in enumerate(lattices):
+            anchors, sizes = lat.edge_anchors, lat.extent_sizes
+            columns = lat.hypergraph.chi.columns
+            for s in range(1, 5):
+                roots = {
+                    a: analytics._component(lat, anchors[a], s)
+                    for a in range(lat.hypergraph.n_edges) if sizes[anchors[a]] >= s
+                }
+                for a in roots:
+                    for b in roots:
+                        if roots[a] != roots[b]:
+                            continue
+                        answer = analytics._edge_search(lat, s, a, b)
+                        assert answer == pop_time_edge_search(lat, s, a, b), (
+                            seed, s, a, b
+                        )
+                        hops[len(answer[1]) - 1] += 1
+                        inside += a != b and columns[a] & columns[b] == columns[a]
+        assert sorted(hops) == [0, 1, 2, 3]
+        assert inside > 0
+
+    def test_source_inside_target(self):
+        # x's anchor lies under y, and so does {a}, a lower cover of it
+        lat = build_lattice_naive(
+            from_edge_list(
+                [("x", ["a", "b"]), ("w", ["a", "c"]), ("y", ["a", "b", "c"])]
+            )
+        )
+        answer = analytics._edge_search(lat, 1, 0, 2)
+        assert answer == pop_time_edge_search(lat, 1, 0, 2)
+        walk, edges = answer
+        assert walk == [lat.edge_anchors[0], lat.edge_anchors[2]]
+        assert edges == [0, 2]
+
+    def test_self_path(self, seven_groups_lattice):
+        lat = seven_groups_lattice
+        for s in (1, 2, 3):
+            for e in range(lat.hypergraph.n_edges):
+                if lat.extent_sizes[lat.edge_anchors[e]] >= s:
+                    answer = analytics._edge_search(lat, s, e, e)
+                    assert answer == pop_time_edge_search(lat, s, e, e)
+                    assert answer == ([lat.edge_anchors[e]], [e])
 
 
 def every_s_components(lat):

@@ -146,6 +146,19 @@ class TestPath:
         assert code == 3
         assert "no 2-path" in err
 
+    def test_empty_edge_at_s1_is_pruned(self, capsys, tmp_path):
+        path = tmp_path / "empty.edges"
+        path.write_text("e1:\ne2: a, b\n")
+        code, out, err = run(
+            capsys, "path", str(path), "--s", "1", "--from", "e1", "--to", "e2"
+        )
+        assert code == 3
+        assert out == ""
+        assert err == (
+            "error: no 1-path: source edge 'e1' has fewer than 1 vertex "
+            "and is pruned\n"
+        )
+
     def test_self_path(self, capsys, groups_csv):
         code, out, _ = run(
             capsys, "path", groups_csv, "--s", "1", "--from", "3", "--to", "3"
