@@ -3,6 +3,9 @@
 Commands: build, path, components, stats, gen, bench. Exit codes: 0 on
 success, 1 for input that cannot be read or parsed and output that cannot
 be written, 2 for verification mismatches, 3 when no s-path exists.
+``build`` reads an edge list or an incidence CSV and refuses a lattice
+document with exit 1; the query commands read all three. A command returns
+its text and ``main`` writes it, so a command that fails writes nothing.
 """
 
 from __future__ import annotations
@@ -29,27 +32,24 @@ class CommandError(Exception):
         self.code = code
 
 
-def _sniff_format(path: str, text: str) -> str:
-    suffix = Path(path).suffix.lower()
-    if suffix == ".json":
-        return "lattice"
-    if suffix == ".csv":
-        return "csv"
-    if suffix in (".edges", ".txt"):
-        return "edges"
-    return "lattice" if text.lstrip().startswith("{") else "edges"
-
-
 def _read_input(path: str, fmt: str) -> tuple[str, str]:
-    """The input's format, sniffed when ``fmt`` is ``auto``, and its text
-    with its line ends as stored, so that a name may hold a bare ``\r``
-    as it may in ``parse_edge_list``."""
+    """The input's format, when ``fmt`` is ``auto`` taken from its suffix
+    or else from a leading brace, and its text with its line ends as
+    stored, so that a name may hold a bare ``\r`` as it may in
+    ``parse_edge_list``."""
     try:
         with open(path, encoding="utf-8-sig", newline="") as f:
             text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise CommandError(f"cannot read {path}: {exc}", EXIT_PARSE)
-    return (_sniff_format(path, text) if fmt == "auto" else fmt), text
+    if fmt == "auto":
+        by_suffix = {
+            ".json": "lattice", ".csv": "csv", ".edges": "edges", ".txt": "edges"
+        }
+        fmt = by_suffix.get(Path(path).suffix.lower()) or (
+            "lattice" if text.lstrip().startswith("{") else "edges"
+        )
+    return fmt, text
 
 
 def _parse(path: str, fmt: str, text: str):
@@ -62,13 +62,6 @@ def _parse(path: str, fmt: str, text: str):
         return parser(text)
     except formats.ParseError as exc:
         raise CommandError(f"{path}: {exc}", EXIT_PARSE)
-
-
-def _load_hypergraph(path: str, fmt: str):
-    fmt, text = _read_input(path, fmt)
-    # build takes no lattice document: an input sniffed as one is read as
-    # an edge list.
-    return _parse(path, "edges" if fmt == "lattice" else fmt, text)
 
 
 def _load_lattice(path: str, fmt: str):
@@ -87,8 +80,15 @@ def _emit(text: str, output: str | None):
         sys.stdout.write(text)
 
 
-def _cmd_build(args) -> int:
-    h = _load_hypergraph(args.input, args.format)
+def _cmd_build(args) -> str:
+    fmt, text = _read_input(args.input, args.format)
+    if fmt == "lattice":
+        raise CommandError(
+            f"{args.input}: build reads an edge list or an incidence CSV, "
+            "not a lattice document",
+            EXIT_PARSE,
+        )
+    h = _parse(args.input, fmt, text)
     builder = (
         lattice.build_lattice_naive
         if args.algorithm == "naive"
@@ -113,13 +113,11 @@ def _cmd_build(args) -> int:
                 EXIT_VERIFY,
             )
     if args.output_format == "dot":
-        _emit(formats.lattice_to_dot(lat), args.output)
-    else:
-        _emit(formats.serialize_lattice(lat), args.output)
-    return EXIT_OK
+        return formats.lattice_to_dot(lat)
+    return formats.serialize_lattice(lat)
 
 
-def _cmd_path(args) -> int:
+def _cmd_path(args) -> str:
     if args.s < 1:
         raise CommandError("--s must be a positive integer", EXIT_PARSE)
     lat = _load_lattice(args.input, args.format)
@@ -137,20 +135,18 @@ def _cmd_path(args) -> int:
         "hyperedge_path": list(result.hyperedge_path),
         "hypergraph_distance": result.hypergraph_distance,
     }
-    _emit(json.dumps(payload, indent=2) + "\n", args.output)
-    return EXIT_OK
+    return json.dumps(payload, indent=2) + "\n"
 
 
-def _cmd_components(args) -> int:
+def _cmd_components(args) -> str:
     if args.s < 1:
         raise CommandError("--s must be a positive integer", EXIT_PARSE)
     lat = _load_lattice(args.input, args.format)
     comps = analytics.s_connected_components(lat, args.s)
-    _emit(json.dumps([list(c) for c in comps]) + "\n", args.output)
-    return EXIT_OK
+    return json.dumps([list(c) for c in comps]) + "\n"
 
 
-def _cmd_stats(args) -> int:
+def _cmd_stats(args) -> str:
     lat = _load_lattice(args.input, args.format)
     h = lat.hypergraph
     hists = analytics.depth_histograms(lat)
@@ -164,11 +160,10 @@ def _cmd_stats(args) -> int:
     for name in ("min_to_top", "max_to_top", "min_to_bottom", "max_to_bottom"):
         for distance, count in getattr(hists, name).items():
             lines.append(f"{name},{distance},{count}")
-    _emit("\n".join(lines) + "\n", args.output)
-    return EXIT_OK
+    return "\n".join(lines) + "\n"
 
 
-def _cmd_gen(args) -> int:
+def _cmd_gen(args) -> str:
     try:
         if args.model == "chung-lu":
             h = generate.chung_lu_hypergraph(
@@ -180,11 +175,10 @@ def _cmd_gen(args) -> int:
             )
     except ValueError as exc:
         raise CommandError(str(exc), EXIT_PARSE)
-    _emit(formats.format_edge_list(h), args.output)
-    return EXIT_OK
+    return formats.format_edge_list(h)
 
 
-def _cmd_bench(args) -> int:
+def _cmd_bench(args) -> str:
     try:
         sizes = [int(part) for part in args.sizes.split(",") if part.strip()]
     except ValueError:
@@ -214,8 +208,7 @@ def _cmd_bench(args) -> int:
                 f"{n_vertices},{n_edges},{rep},{len(vect)},"
                 f"{t1 - t0:.6f},{t2 - t1:.6f}"
             )
-    _emit("\n".join(rows) + "\n", args.output)
-    return EXIT_OK
+    return "\n".join(rows) + "\n"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -304,10 +297,11 @@ def main(argv=None) -> int:
     with warnings.catch_warnings():
         warnings.showwarning = _show_warning
         try:
-            return args.func(args)
+            _emit(args.func(args), args.output)
         except CommandError as exc:
             print(f"error: {exc}", file=sys.stderr)
             return exc.code
+    return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -163,18 +163,15 @@ def enumerate_concepts_oracle(h: Hypergraph) -> frozenset[Concept]:
     return frozenset(found)
 
 
+@dataclass(frozen=True)
 class IsomorphismResult:
     """Truthy on success; carries a diagnostic for the first mismatch."""
 
-    def __init__(self, ok: bool, detail: str = ""):
-        self.ok = ok
-        self.detail = detail
+    ok: bool
+    detail: str = ""
 
     def __bool__(self) -> bool:
         return self.ok
-
-    def __repr__(self) -> str:
-        return f"IsomorphismResult(ok={self.ok}, detail={self.detail!r})"
 
 
 def _containment_covers(extents) -> set[tuple[int, int]]:

@@ -9,13 +9,14 @@ from conftest import SEVEN_GROUPS_CSV
 from hglattice import (
     ConceptLattice,
     format_edge_list,
+    formats,
     from_edge_list,
     lattice,
     oracle,
     parse_edge_list,
     uniform_hypergraph,
 )
-from hglattice.cli import main
+from hglattice.cli import _read_input, main
 
 
 @pytest.fixture
@@ -93,13 +94,76 @@ class TestBuild:
         assert err.startswith(f"error: cannot read {path}: ")
         assert err.count("\n") == 1
 
-    def test_unwritable_output_exit_1(self, capsys, groups_csv, tmp_path):
-        target = tmp_path / "missing" / "lat.json"
-        code, out, err = run(capsys, "build", groups_csv, "-o", str(target))
+    @pytest.mark.parametrize("argv", [
+        ["build", "GROUPS"],
+        ["path", "GROUPS", "--s", "1", "--from", "3", "--to", "7"],
+        ["components", "GROUPS", "--s", "1"],
+        ["stats", "GROUPS"],
+        ["gen", "--vertices", "4", "--edges", "3"],
+        ["bench", "--sizes", "3"],
+    ], ids=lambda argv: argv[0])
+    def test_unwritable_output_exit_1(self, capsys, groups_csv, tmp_path, argv):
+        # main writes every command's text, so each fails alike
+        target = tmp_path / "missing" / "out.txt"
+        argv = [groups_csv if a == "GROUPS" else a for a in argv]
+        code, out, err = run(capsys, *argv, "-o", str(target))
         assert code == 1
         assert out == ""
         assert err.startswith(f"error: cannot write {target}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", ["lat.json", "lat.out"])
+    def test_lattice_document_is_refused_unparsed(
+        self, capsys, groups_csv, tmp_path, monkeypatch, name
+    ):
+        # by its suffix or, under an unknown one, by its leading brace
+        doc_path = tmp_path / name
+        code, _, _ = run(capsys, "build", groups_csv, "-o", str(doc_path))
+        assert code == 0
+
+        def never(text):
+            raise AssertionError("build parsed the lattice document")
+
+        monkeypatch.setattr(formats, "parse_lattice_document", never)
+        target = tmp_path / "out.json"
+        code, out, err = run(capsys, "build", str(doc_path), "-o", str(target))
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error: {doc_path}: build reads an edge list or an incidence "
+            "CSV, not a lattice document\n"
+        )
+        assert not target.exists()
+
+    def test_lattice_document_as_chosen_edge_list_exit_1(
+        self, capsys, groups_csv, tmp_path
+    ):
+        # -f edges is the user's choice, so the edge-list parser says why
+        doc_path = tmp_path / "lat.json"
+        code, _, _ = run(capsys, "build", groups_csv, "-o", str(doc_path))
+        assert code == 0
+        code, out, err = run(capsys, "build", "-f", "edges", str(doc_path))
+        assert code == 1
+        assert out == ""
+        assert err == (
+            f"error: {doc_path}: line 1: expected 'edge_name: v1, v2, ...', "
+            "got '{'\n"
+        )
+
+    @pytest.mark.parametrize("s, to", [("0", "7"), ("1", "99")])
+    def test_failing_command_writes_no_output_file(
+        self, capsys, groups_csv, tmp_path, s, to
+    ):
+        # build on a document is covered with the refusal above
+        target = tmp_path / "out.json"
+        code, out, err = run(
+            capsys, "path", groups_csv, "--s", s, "--from", "3", "--to", to,
+            "-o", str(target),
+        )
+        assert code == 1
+        assert out == ""
+        assert err.startswith("error: ")
+        assert not target.exists()
 
     def test_duplicate_columns_warn_on_one_line(self, capsys, tmp_path):
         path = tmp_path / "dup.edges"
@@ -191,6 +255,26 @@ class TestPath:
             )
             assert code == 0, err
             assert json.loads(out)["hyperedge_path"] == ["3", "2", "1"]
+
+    @pytest.mark.parametrize("suffix, text, fmt", [
+        # each text is one the leading-brace fallback would misread
+        (".json", "e1: a\n", "lattice"),
+        (".csv", "{\n", "csv"),
+        (".edges", "{\n", "edges"),
+        (".txt", "{\n", "edges"),
+    ])
+    def test_suffix_is_case_blind(self, tmp_path, suffix, text, fmt):
+        for name in ("in" + suffix, "in" + suffix.upper()):
+            path = tmp_path / name
+            path.write_text(text)
+            assert _read_input(str(path), "auto") == (fmt, text)
+
+    def test_txt_suffix_beats_a_leading_brace(self, capsys, tmp_path):
+        path = tmp_path / "braced.txt"
+        path.write_text("{1: a, b\n2: b, c\n")
+        code, out, err = run(capsys, "components", str(path), "--s", "1")
+        assert code == 0, err
+        assert json.loads(out) == [["{1", "2"]]
 
     def test_unknown_edge_exit_1(self, capsys, groups_csv):
         code, _, err = run(
