@@ -292,32 +292,31 @@ class DepthHistograms:
     max_to_bottom: dict[int, int]
 
 
+def _depths(
+    rows: tuple[tuple[int, ...], ...], order: range
+) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """(shortest, longest) cover-path lengths from each node along ``rows``
+    to the one node whose row is empty, where each path ends. ``order``
+    takes every node after the nodes in its row."""
+    shortest, longest = [0] * len(rows), [0] * len(rows)
+    for i in order:
+        if row := rows[i]:
+            shortest[i] = 1 + min(map(shortest.__getitem__, row))
+            longest[i] = 1 + max(map(longest.__getitem__, row))
+    return tuple(shortest), tuple(longest)
+
+
 def depth_statistics(lat: ConceptLattice) -> DepthStatistics:
     """Shortest and longest cover-path lengths from every node to the top
     and to the bottom, by dynamic programming over the (already
-    topologically sorted) cover DAG, read off ``lat.upper_covers`` and
-    ``lat.lower_covers``."""
+    topologically sorted) cover DAG: ``_depths`` along ``lat.upper_covers``
+    from the top down, then along ``lat.lower_covers`` from the bottom up.
+    In a lattice only the top has no upper cover and only the bottom has
+    no lower cover, so those are where the paths end."""
     n = len(lat)
-    lower, upper = lat.lower_covers, lat.upper_covers
-
-    min_top = [0] * n
-    max_top = [0] * n
-    for i in range(n - 1, -1, -1):
-        if i == lat.top_index:
-            continue
-        min_top[i] = 1 + min(map(min_top.__getitem__, upper[i]))
-        max_top[i] = 1 + max(map(max_top.__getitem__, upper[i]))
-
-    min_bot = [0] * n
-    max_bot = [0] * n
-    for i in range(n):
-        if i == lat.bottom_index:
-            continue
-        min_bot[i] = 1 + min(map(min_bot.__getitem__, lower[i]))
-        max_bot[i] = 1 + max(map(max_bot.__getitem__, lower[i]))
-
     return DepthStatistics(
-        tuple(min_top), tuple(max_top), tuple(min_bot), tuple(max_bot)
+        *_depths(lat.upper_covers, range(n - 1, -1, -1)),
+        *_depths(lat.lower_covers, range(n)),
     )
 
 

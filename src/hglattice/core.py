@@ -129,12 +129,6 @@ class Hypergraph:
     def edge_index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.edge_names)}
 
-    def vertex_subset(self, names: Iterable[str]) -> int:
-        return _subset(self.vertex_index, names, "vertex")
-
-    def edge_subset(self, names: Iterable[str]) -> int:
-        return _subset(self.edge_index, names, "edge")
-
     def vertex_names_of(self, vs: int) -> tuple[str, ...]:
         _check_set(vs, self.n_vertices, "vertex")
         return tuple(names_of(self.vertex_names, vs))
@@ -147,16 +141,6 @@ class Hypergraph:
         if not 0 <= edge < self.n_edges:
             raise IndexError(f"edge index {edge} out of range")
         return self.chi.columns[edge]
-
-
-def _subset(index: dict[str, int], names: Iterable[str], kind: str) -> int:
-    bits = 0
-    for name in names:
-        try:
-            bits |= 1 << index[name]
-        except KeyError:
-            raise KeyError(f"unknown {kind} name {name!r}") from None
-    return bits
 
 
 def from_edge_list(edges: Iterable[tuple[str, Iterable[str]]]) -> Hypergraph:
@@ -234,17 +218,6 @@ def dedup_edges(h: Hypergraph) -> tuple[Hypergraph, dict[int, int]]:
         h.vertex_names, tuple(h.edge_names[j] for j in keep), chi
     )
     return reduced, mapping
-
-
-def is_topped(h: Hypergraph) -> bool:
-    """True when some edge contains every vertex."""
-    full = (1 << h.n_vertices) - 1
-    return any(col == full for col in h.chi.columns)
-
-
-def is_bottomed(h: Hypergraph) -> bool:
-    """True when some edge is empty."""
-    return any(col == 0 for col in h.chi.columns)
 
 
 def overlap_size(h: Hypergraph, edge_i: int, edge_j: int) -> int:

@@ -333,7 +333,10 @@ def document_to_lattice(doc: dict) -> ConceptLattice:
         i = next(i for i, x in enumerate(intents) if x != lat.intent_bits[i])
         raise ParseError(f"node {i}: stored intent disagrees with edge columns")
     covers = [[i, j] for i, ups in enumerate(lat.upper_covers) for j in ups]
-    _require(_field(doc, "covers", list, "document") == covers,
+    given = _field(doc, "covers", list, "document")
+    # True == 1 == 1.0, so equal covers may still hold a bool or a float.
+    _require(given == covers
+             and all(type(i) is int and type(j) is int for i, j in given),
              "stored covers disagree with node extents")
     _require(_field(doc, "top", int, "document") == lat.top_index,
              "stored top id is wrong")

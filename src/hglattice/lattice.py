@@ -175,7 +175,7 @@ class ConceptLattice:
     def hidden_top(self) -> int:
         """The top's index when s-queries drop it (it is not a hyperedge),
         else -1, which is no node."""
-        return -1 if self.is_anchor(self.top_index) else self.top_index
+        return -1 if self.top_index in self.anchored_edges else self.top_index
 
     @property
     def bottom_index(self) -> int:
@@ -206,9 +206,6 @@ class ConceptLattice:
         return tuple(
             (i, j) for i, ups in enumerate(self.upper_covers) for j in ups
         )
-
-    def is_anchor(self, node: int) -> bool:
-        return node in self.anchored_edges
 
     def edge_size(self, edge: int) -> int:
         """Vertex count of deduplicated edge ``edge``."""

@@ -70,6 +70,12 @@ def random_dedup_hypergraph(seed: int) -> Hypergraph:
     return reduced
 
 
+def bits_of(index: dict[str, int], names) -> int:
+    """The set of the named items as an int, from a ``vertex_index`` or
+    ``edge_index`` dict."""
+    return sum(1 << index[name] for name in names)
+
+
 def containment_from_covers(lat) -> set[tuple[int, int]]:
     """(lower, upper) node pairs, reflexive ones included, of the order the
     stored covers generate: upper is reached from lower by going up zero or

@@ -340,7 +340,7 @@ class TestSharedAdjacency:
                 view = prune(lat, s)
                 retained = {
                     i for i, extent in enumerate(lat.extent_bits)
-                    if extent.bit_count() >= s and (i != top or lat.is_anchor(top))
+                    if extent.bit_count() >= s and (i != top or top in lat.anchored_edges)
                 }
                 assert view.retained == retained, (seed, s)
                 expected = {i: set() for i in retained}

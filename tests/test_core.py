@@ -2,7 +2,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import SEVEN_GROUPS_EDGE_MEMBERS, random_hypergraph
+from conftest import SEVEN_GROUPS_EDGE_MEMBERS, bits_of, random_hypergraph
 from hglattice import (
     DimensionError,
     IngestionError,
@@ -11,8 +11,6 @@ from hglattice import (
     extent_prime,
     from_edge_list,
     intent_prime,
-    is_bottomed,
-    is_topped,
     overlap_size,
 )
 from hglattice.core import Hypergraph, IncidenceMatrix, iter_bits
@@ -44,7 +42,7 @@ class TestFromEdgeList:
         h = from_edge_list([("e1", ["a", "b"])])
         assert h.n_vertices == 2
         assert h.n_edges == 1
-        assert h.edge_column(0) == h.vertex_subset(["a", "b"])
+        assert h.edge_column(0) == bits_of(h.vertex_index, ["a", "b"])
 
     def test_first_appearance_order(self):
         h = from_edge_list([("x", ["q", "p"]), ("y", ["a", "q"])])
@@ -76,33 +74,29 @@ class TestTableChecks:
         for edge in (-1, 7):
             with pytest.raises(IndexError, match=f"^edge index {edge} out of range$"):
                 seven_groups.edge_column(edge)
-        with pytest.raises(KeyError, match="unknown vertex name 'z'"):
-            seven_groups.vertex_subset(["a", "z"])
-        with pytest.raises(KeyError, match="unknown edge name '8'"):
-            seven_groups.edge_subset(["1", "8"])
 
 
 class TestPrimes:
     def test_intent_of_g(self, seven_groups):
-        a = seven_groups.vertex_subset(["g"])
+        a = bits_of(seven_groups.vertex_index, ["g"])
         assert set(seven_groups.edge_names_of(intent_prime(seven_groups, a))) == {"5", "6", "7"}
 
     def test_intent_of_empty_is_all_edges(self, seven_groups):
         assert intent_prime(seven_groups, 0) == (1 << 7) - 1
 
     def test_intent_of_ab(self, seven_groups):
-        a = seven_groups.vertex_subset(["a", "b"])
+        a = bits_of(seven_groups.vertex_index, ["a", "b"])
         assert set(seven_groups.edge_names_of(intent_prime(seven_groups, a))) == {"2", "4"}
 
     def test_extent_of_234(self, seven_groups):
-        b = seven_groups.edge_subset(["2", "3", "4"])
+        b = bits_of(seven_groups.edge_index, ["2", "3", "4"])
         assert set(seven_groups.vertex_names_of(extent_prime(seven_groups, b))) == {"a"}
 
     def test_extent_of_empty_is_all_vertices(self, seven_groups):
         assert extent_prime(seven_groups, 0) == (1 << 7) - 1
 
     def test_extent_of_15(self, seven_groups):
-        b = seven_groups.edge_subset(["1", "5"])
+        b = bits_of(seven_groups.edge_index, ["1", "5"])
         assert set(seven_groups.vertex_names_of(extent_prime(seven_groups, b))) == {"e"}
 
     def test_width_mismatch(self, seven_groups):
@@ -139,7 +133,7 @@ class TestIncidenceRows:
 class TestClosure:
     def test_closure_of_f(self, seven_groups):
         # {f}' = {5,6}, then {5,6}' = {f,g}
-        got = closure(seven_groups, seven_groups.vertex_subset(["f"]))
+        got = closure(seven_groups, bits_of(seven_groups.vertex_index, ["f"]))
         assert set(seven_groups.vertex_names_of(got)) == {"f", "g"}
 
     def test_closure_of_empty(self, seven_groups):
@@ -147,7 +141,7 @@ class TestClosure:
         assert closure(seven_groups, 0) == 0
 
     def test_ad_is_closed(self, seven_groups):
-        a = seven_groups.vertex_subset(["a", "d"])
+        a = bits_of(seven_groups.vertex_index, ["a", "d"])
         assert closure(seven_groups, a) == a
 
 
@@ -183,22 +177,6 @@ class TestDedup:
                 for j in iter_bits(b):
                     mapped |= 1 << mapping[j]
                 assert extent_prime(h, b) == extent_prime(reduced, mapped)
-
-
-class TestToppedBottomed:
-    def test_seven_groups(self, seven_groups):
-        assert not is_topped(seven_groups)
-        assert not is_bottomed(seven_groups)
-
-    def test_single_full_edge(self):
-        h = from_edge_list([("e1", ["a", "b"])])
-        assert is_topped(h)
-        assert not is_bottomed(h)
-
-    def test_empty_edge(self):
-        h = Hypergraph(("a",), ("e1",), IncidenceMatrix(1, 1, (0,)))
-        assert not is_topped(h)
-        assert is_bottomed(h)
 
 
 class TestOverlap:

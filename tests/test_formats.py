@@ -196,6 +196,13 @@ TAMPERS = [
                  id="covers-string"),
     pytest.param(_put([[0]], "covers"),
                  "stored covers disagree with node extents", id="cover-short"),
+    pytest.param(_put(True, "covers", 0, 1),
+                 "stored covers disagree with node extents", id="cover-bool"),
+    pytest.param(_put(False, "covers", 0, 0),
+                 "stored covers disagree with node extents",
+                 id="cover-false"),
+    pytest.param(_put(1.0, "covers", 0, 1),
+                 "stored covers disagree with node extents", id="cover-float"),
     pytest.param(_drop("top"),
                  "document: 'top' is missing or not an integer", id="no-top"),
     pytest.param(_put("12", "top"),
@@ -444,10 +451,8 @@ class TestIncidenceCsvParser:
         assert h.edge_column(0) == 0
 
     def test_all_ones_column_is_topped(self):
-        from hglattice import is_topped
-
         h = parse_incidence_csv(",e1,e2\na,1,0\nb,1,1\n")
-        assert is_topped(h)
+        assert (1 << h.n_vertices) - 1 in h.chi.columns
 
     def test_ragged_row(self):
         with pytest.raises(ParseError, match="line 3"):

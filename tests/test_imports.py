@@ -7,20 +7,36 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def test_import_leaves_numpy_out():
-    # A fresh interpreter, because pytest plugins may already have imported
-    # numpy into this one.
+def _fresh_python(code: str) -> str:
+    """Run ``code`` in a fresh interpreter with the package on its path and
+    return its stdout; it must exit 0."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
-    probe = "import sys, hglattice, hglattice.cli; print('numpy' in sys.modules)"
     done = subprocess.run(
-        [sys.executable, "-c", probe],
+        [sys.executable, "-c", code],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
-    assert done.stdout.strip() == "False"
+    return done.stdout
+
+
+def test_import_leaves_numpy_out():
+    # A fresh interpreter, because pytest plugins may already have imported
+    # numpy into this one.
+    probe = "import sys, hglattice, hglattice.cli; print('numpy' in sys.modules)"
+    assert _fresh_python(probe).strip() == "False"
+
+
+def test_star_import_resolves_all():
+    # A stale name in __all__ makes the star import raise AttributeError.
+    probe = (
+        "from hglattice import *\n"
+        "import hglattice\n"
+        "print(*(n for n in hglattice.__all__ if n not in globals()))"
+    )
+    assert _fresh_python(probe).strip() == ""
 
 
 def test_oracle_imports_only_core():

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 
 from conftest import (
     SEVEN_GROUPS_CONCEPTS,
+    bits_of,
     containment_from_covers,
     random_dedup_hypergraph,
 )
@@ -333,7 +334,7 @@ class TestVerifyIsomorphism:
         # drop a non-anchor node so the mutant stays constructible
         victim = next(
             i for i in range(len(seven_groups_lattice))
-            if not seven_groups_lattice.is_anchor(i)
+            if i not in seven_groups_lattice.anchored_edges
             and i not in (seven_groups_lattice.top_index, seven_groups_lattice.bottom_index)
         )
         mutant = drop_node(seven_groups_lattice, victim)
@@ -437,7 +438,7 @@ class TestNamesOf:
 
 def node_of(lat, vertices):
     """The node whose extent is exactly the named vertices."""
-    return lat.extent_bits.index(lat.hypergraph.vertex_subset(vertices))
+    return lat.extent_bits.index(bits_of(lat.hypergraph.vertex_index, vertices))
 
 
 class TestGaloisLabels:
@@ -492,9 +493,9 @@ class TestAnchors:
     def test_seven_groups_anchors(self, seven_groups, seven_groups_lattice):
         lat = seven_groups_lattice
         node7 = lat.edge_anchors[lat.resolve_edge("7")]
-        assert lat.extent_bits[node7] == seven_groups.vertex_subset("g")
+        assert lat.extent_bits[node7] == bits_of(seven_groups.vertex_index, "g")
         node2 = lat.edge_anchors[lat.resolve_edge("2")]
-        assert lat.extent_bits[node2] == seven_groups.vertex_subset("abcd")
+        assert lat.extent_bits[node2] == bits_of(seven_groups.vertex_index, "abcd")
 
     def test_single_edge_anchor(self):
         lat = build_lattice_naive(from_edge_list([("1", ["a", "b"])]))
