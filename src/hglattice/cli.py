@@ -12,10 +12,10 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
 import warnings
-from pathlib import Path
 
 from . import analytics, formats, generate, lattice, oracle
 from .core import SizeLimitError, dedup_edges
@@ -46,7 +46,12 @@ def _read_input(path: str, fmt: str) -> tuple[str, str]:
         by_suffix = {
             ".json": "lattice", ".csv": "csv", ".edges": "edges", ".txt": "edges"
         }
-        fmt = by_suffix.get(Path(path).suffix.lower()) or (
+        # The base name's suffix runs from its last dot, unless that dot is
+        # its first or last character: "..csv" has one, ".csv" has none.
+        name = os.path.basename(path)
+        dot = name.rfind(".")
+        suffix = name[dot:] if 0 < dot < len(name) - 1 else ""
+        fmt = by_suffix.get(suffix.lower()) or (
             "lattice" if text.lstrip().startswith("{") else "edges"
         )
     return fmt, text
@@ -73,7 +78,8 @@ def _load_lattice(path: str, fmt: str):
 def _emit(text: str, output: str | None):
     if output:
         try:
-            Path(output).write_text(text, encoding="utf-8")
+            with open(output, "w", encoding="utf-8") as f:
+                f.write(text)
         except OSError as exc:
             raise CommandError(f"cannot write {output}: {exc}", EXIT_PARSE)
     else:

@@ -5,11 +5,12 @@ matrix: one int per hyperedge, bit k set when vertex k is a member. Every
 vertex or edge set in the package is such an int, bit i for index i. Read
 as objects x attributes, the same matrix is a formal context, and
 ``intent_prime`` / ``extent_prime`` are the two halves of its Galois
-connection. The lattice builders and queries work on the columns
-directly; only the brute-force checks in ``oracle`` use the prime
-operators. A set passed to a function here must fit its hypergraph: a
-negative int, or one with a bit past the vertex or edge count, raises
-``DimensionError``.
+connection; ``extent_prime(h, intent_prime(h, a))`` is the closure of a
+vertex set ``a``, its smallest closed superset. The lattice builders and
+queries work on the columns directly; only the brute-force checks in
+``oracle`` use the prime operators. A set passed to a function here must
+fit its hypergraph: a negative int, or one with a bit past the vertex or
+edge count, raises ``DimensionError``.
 
 All types are immutable after construction, except that a ``Hypergraph``
 builds its ``vertex_index`` and ``edge_index`` dicts on first use
@@ -20,9 +21,9 @@ threads.
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Iterator, Sequence
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Iterator, Sequence
 
 
 class DimensionError(ValueError):
@@ -133,10 +134,6 @@ class Hypergraph:
         _check_set(vs, self.n_vertices, "vertex")
         return tuple(names_of(self.vertex_names, vs))
 
-    def edge_names_of(self, es: int) -> tuple[str, ...]:
-        _check_set(es, self.n_edges, "edge")
-        return tuple(names_of(self.edge_names, es))
-
     def edge_column(self, edge: int) -> int:
         if not 0 <= edge < self.n_edges:
             raise IndexError(f"edge index {edge} out of range")
@@ -184,11 +181,6 @@ def extent_prime(h: Hypergraph, b: int) -> int:
     for j in iter_bits(b):
         acc &= h.chi.columns[j]
     return acc
-
-
-def closure(h: Hypergraph, a: int) -> int:
-    """The double-prime closure of a vertex set: smallest closed superset."""
-    return extent_prime(h, intent_prime(h, a))
 
 
 def dedup_edges(h: Hypergraph) -> tuple[Hypergraph, dict[int, int]]:

@@ -246,17 +246,23 @@ def _bits_of(rec: dict, key: str, index: dict[str, int], i: int) -> int:
     return bits
 
 
-def document_to_lattice(doc: dict) -> ConceptLattice:
-    """Rebuild the canonical lattice from its document form.
+def parse_lattice_document(text: str) -> ConceptLattice:
+    """Rebuild the canonical lattice from its JSON document.
 
-    Every field is type-checked. Edge columns are taken from the nodes
-    that introduce them, and the builder's walk (``walk_lattice``) rebuilds
-    the one lattice those columns determine, stopping at the first extent
-    that is not a stored one, so its work is bounded by the document. The
-    stored extents, intents, covers, top and bottom must then agree with
-    it, in that order, so a tampered document fails instead of producing
-    an inconsistent lattice.
+    Every field is required and type-checked. Edge columns are taken from
+    the nodes that introduce them, and the builder's walk (``walk_lattice``)
+    rebuilds the one lattice those columns determine, stopping at the first
+    extent that is not a stored one, so its work is bounded by the
+    document. The stored extents, intents, covers, top and bottom must then
+    agree with it, in that order, so a tampered document raises
+    ``ParseError`` instead of producing an inconsistent lattice.
     """
+    # JSONDecodeError is a ValueError, and so is the int-string limit's
+    # error for an integer of too many digits.
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:
+        raise ParseError(f"invalid JSON: {exc}") from exc
     _require(isinstance(doc, dict), "document must be a JSON object")
     _require(doc.get("format") == DOCUMENT_FORMAT,
              f"unsupported document format {doc.get('format')!r}")
@@ -267,8 +273,7 @@ def document_to_lattice(doc: dict) -> ConceptLattice:
              "vertex table does not match n_vertices")
     _require(_field(hg, "n_edges", int, "hypergraph") == len(edge_names),
              "edge table does not match n_edges")
-    duplicates = hg.get("duplicate_edges", {})
-    _require(type(duplicates) is dict, "hypergraph: 'duplicate_edges' is not an object")
+    duplicates = _field(hg, "duplicate_edges", dict, "hypergraph")
     vidx = {name: i for i, name in enumerate(vertex_names)}
     eidx = {name: i for i, name in enumerate(edge_names)}
     nv, ne = len(vertex_names), len(edge_names)
@@ -343,16 +348,6 @@ def document_to_lattice(doc: dict) -> ConceptLattice:
     _require(_field(doc, "bottom", int, "document") == lat.bottom_index,
              "stored bottom id is wrong")
     return lat
-
-
-def parse_lattice_document(text: str) -> ConceptLattice:
-    # JSONDecodeError is a ValueError, and so is the int-string limit's
-    # error for an integer of too many digits.
-    try:
-        doc = json.loads(text)
-    except (ValueError, RecursionError) as exc:
-        raise ParseError(f"invalid JSON: {exc}") from exc
-    return document_to_lattice(doc)
 
 
 def lattice_to_dot(lat: ConceptLattice) -> str:

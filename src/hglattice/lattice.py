@@ -37,8 +37,8 @@ node's label is ``ConceptLattice.node_label``.
 from __future__ import annotations
 
 import warnings
+from collections.abc import Iterable, Iterator
 from itertools import islice
-from typing import Iterable, Iterator
 
 from .core import Hypergraph, IncidenceMatrix, dedup_edges, iter_bits, names_of
 

@@ -36,11 +36,6 @@ class SLineGraph:
     nodes: tuple[int, ...]
     adjacency: dict[int, tuple[int, ...]]
 
-    def edges(self) -> set[tuple[int, int]]:
-        return {
-            (i, j) for i in self.nodes for j in self.adjacency[i] if i < j
-        }
-
 
 def s_line_graph(h: Hypergraph, s: int) -> SLineGraph:
     if s < 1:

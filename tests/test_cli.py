@@ -269,6 +269,27 @@ class TestPath:
             path.write_text(text)
             assert _read_input(str(path), "auto") == (fmt, text)
 
+    @pytest.mark.parametrize("name, code", [
+        # The suffix is the base name's text from its last dot, unless that
+        # dot is the name's first or last character.
+        ("..csv", 0),
+        (".csv", 1),
+        (".CSV", 1),
+        ("in.csv.", 1),
+        ("d.csv/in", 1),
+    ])
+    def test_suffix_rule(self, capsys, tmp_path, name, code):
+        # Read as CSV the file answers; as an edge list its header fails.
+        path = tmp_path / name
+        path.parent.mkdir(exist_ok=True)
+        path.write_text(SEVEN_GROUPS_CSV)
+        got, out, err = run(capsys, "components", str(path), "--s", "2")
+        assert got == code, err
+        if code == 0:
+            assert json.loads(out) == [["1", "2", "3", "4"], ["5", "6"]]
+        else:
+            assert err.startswith(f"error: {path}: line 1: expected 'edge_name:")
+
     def test_txt_suffix_beats_a_leading_brace(self, capsys, tmp_path):
         path = tmp_path / "braced.txt"
         path.write_text("{1: a, b\n2: b, c\n")
@@ -502,6 +523,67 @@ class TestGen:
         assert median <= 2
         assert p99 >= 4 * max(median, 1)
         assert degs[-1] >= 20
+
+
+class TestPinnedDigests:
+    """The SHA-256 of each file and answer that the console-script CI job
+    pins, reproduced through ``main`` in this process."""
+
+    def _digests(self, capsys, tmp_path, gen, queries):
+        edges, doc, dot = (tmp_path / name for name in ("in.edges", "v.json", "v.dot"))
+        writes = {
+            "gen": (edges, ("gen", *gen)),
+            "build": (doc, ("build", str(edges))),
+            "dot": (dot, ("build", str(edges), "--output-format", "dot")),
+        }
+        digests = {}
+        for label, (path, argv) in writes.items():
+            code, out, err = run(capsys, *argv, "-o", str(path))
+            assert code == 0, err
+            assert out == ""
+            digests[label] = hashlib.sha256(path.read_bytes()).hexdigest()
+        for label, (command, *options) in queries.items():
+            code, out, err = run(capsys, command, str(doc), *options)
+            assert code == 0, err
+            digests[label] = hashlib.sha256(out.encode()).hexdigest()
+        return digests
+
+    def test_dense_60x40(self, capsys, tmp_path):
+        got = self._digests(
+            capsys, tmp_path,
+            ("--vertices", "60", "--edges", "40", "--model", "uniform", "--seed", "0"),
+            {
+                "stats": ("stats",),
+                "components": ("components", "--s", "3"),
+                "path": ("path", "--s", "2", "--from", "e1", "--to", "e2"),
+            },
+        )
+        assert got == {
+            "gen": "0b2ae4f868e8222d1297ab8d009251de1facf62e5d59d5cb933835c4e901c653",
+            "build": "388263a1eed1431cc592473560059183a83c76af3821370bed37d008d1f588fb",
+            "dot": "a1e401ca1d39837a73ae988d45993d510333392c512c64f5da47d33b97acd3e5",
+            "stats": "8981d93a50ebf82a8cbdcd22d1e873a69c51c14769acfd08aee87c93248a07af",
+            "components": "d7f5173a9e72cc2a09e5fcb593fdc286a9567d88a9e0e67886199c25c8fcde0b",
+            "path": "f380696bb2fc538efd355fd073e82b1268d707af70940202afb71593c55f8fdf",
+        }
+
+    def test_chung_lu_2000x1000(self, capsys, tmp_path):
+        got = self._digests(
+            capsys, tmp_path,
+            ("--vertices", "2000", "--edges", "1000", "--power-exponent", "2.2",
+             "--seed", "42"),
+            {
+                "stats": ("stats",),
+                "path": ("path", "--s", "1", "--from", "e553", "--to", "e836"),
+            },
+        )
+        assert got == {
+            "gen": "aadfdb577e196cda3661af49030bc9531c370f4edaa49a6e4997c1c2225cdf5f",
+            "build": "5bd41513e94d815c5463f26c6067274c34d1f8f9f778408f4c474256a5fc7f5f",
+            "dot": "74309953e1c3843a5f75b30241e557bbdca9532f7223a45686449bb5766d3651",
+            "stats": "d5c819db6b1b096affb54dea1d6a66ff242a52590b24d7fc8097be8964203c3c",
+            "path": "3bab93c33c878a6f996b62e2fc3a69b03afc91a03a946fe784c9c5de901f90fd",
+        }
 
 
 class TestBench:

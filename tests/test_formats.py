@@ -116,8 +116,11 @@ TAMPERS = [
                  id="n-edges-float"),
     pytest.param(_put(8, "hypergraph", "n_edges"),
                  "edge table does not match n_edges", id="n-edges-wrong"),
+    pytest.param(_drop("hypergraph", "duplicate_edges"),
+                 "hypergraph: 'duplicate_edges' is missing or not an object",
+                 id="no-duplicates"),
     pytest.param(_put([], "hypergraph", "duplicate_edges"),
-                 "hypergraph: 'duplicate_edges' is not an object",
+                 "hypergraph: 'duplicate_edges' is missing or not an object",
                  id="duplicates-array"),
     pytest.param(_put({"x": 1}, "hypergraph", "duplicate_edges"),
                  "duplicate edge 'x' maps to unknown 1", id="duplicate-int"),
@@ -652,7 +655,8 @@ class TestLatticeDocument:
         doc = {
             "format": "hg-lattice/1",
             "hypergraph": {"vertices": vertices, "edges": edges,
-                           "n_vertices": n, "n_edges": n},
+                           "n_vertices": n, "n_edges": n,
+                           "duplicate_edges": {}},
             "nodes": [dict(rec, id=i) for i, rec in enumerate(nodes)],
             "covers": [[i, n] for i in range(n)],
             "top": n,

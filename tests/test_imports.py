@@ -7,15 +7,15 @@ from pathlib import Path
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _fresh_python(code: str) -> str:
-    """Run ``code`` in a fresh interpreter with the package on its path and
-    return its stdout; it must exit 0."""
+def _fresh_python(code: str, *flags: str) -> str:
+    """Run ``code`` in a fresh interpreter, started with ``flags``, with the
+    package on its path and return its stdout; it must exit 0."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p
     )
     done = subprocess.run(
-        [sys.executable, "-c", code],
+        [sys.executable, *flags, "-c", code],
         env=env, capture_output=True, text=True, timeout=60,
     )
     assert done.returncode == 0, done.stderr
@@ -27,6 +27,15 @@ def test_import_leaves_numpy_out():
     # numpy into this one.
     probe = "import sys, hglattice, hglattice.cli; print('numpy' in sys.modules)"
     assert _fresh_python(probe).strip() == "False"
+
+
+def test_cli_import_leaves_pathlib_and_typing_out():
+    # -S skips the site module, which may import both modules itself.
+    probe = (
+        "import sys, hglattice.cli\n"
+        "print(*(m for m in ('pathlib', 'typing') if m in sys.modules))"
+    )
+    assert _fresh_python(probe, "-S").strip() == ""
 
 
 def test_star_import_resolves_all():

@@ -17,11 +17,13 @@ class TestSLineGraph:
         g = s_line_graph(seven_groups, 2)
         e = seven_groups.edge_index
         assert set(g.nodes) == {e[n] for n in "123456"}  # edge 7 too small
-        assert g.edges() == {
-            tuple(sorted((e["1"], e["2"]))),
-            tuple(sorted((e["2"], e["3"]))),
-            tuple(sorted((e["2"], e["4"]))),
-            tuple(sorted((e["5"], e["6"]))),
+        assert g.adjacency == {
+            e["1"]: (e["2"],),
+            e["2"]: tuple(sorted((e["1"], e["3"], e["4"]))),
+            e["3"]: (e["2"],),
+            e["4"]: (e["2"],),
+            e["5"]: (e["6"],),
+            e["6"]: (e["5"],),
         }
 
     def test_seven_groups_s1_connected(self, seven_groups):
@@ -32,7 +34,7 @@ class TestSLineGraph:
     def test_s_above_max_edge_size(self, seven_groups):
         g = s_line_graph(seven_groups, 5)
         assert g.nodes == ()
-        assert g.edges() == set()
+        assert g.adjacency == {}
 
     def test_s_below_one(self, seven_groups):
         with pytest.raises(ValueError, match="^s must be a positive integer, got 0$"):
