@@ -29,16 +29,6 @@ from .analytics import (
     s_connected_components,
     shortest_s_path,
 )
-from .oracle import (
-    Concept,
-    SLineGraph,
-    enumerate_concepts_oracle,
-    intersection_complex_bruteforce,
-    oracle_components,
-    oracle_shortest_s_path,
-    s_line_graph,
-    verify_isomorphism,
-)
 from .formats import (
     ParseError,
     format_edge_list,
@@ -48,9 +38,35 @@ from .formats import (
     parse_lattice_document,
     serialize_lattice,
 )
-from .generate import chung_lu_hypergraph, uniform_hypergraph
 
 __version__ = "0.1.0"
+
+# The oracle's and the generators' names are imported on first access
+# (PEP 562), so that importing the package or its CLI leaves both modules
+# out until a caller needs them.
+_LAZY = {
+    "Concept": "oracle",
+    "SLineGraph": "oracle",
+    "enumerate_concepts_oracle": "oracle",
+    "intersection_complex_bruteforce": "oracle",
+    "oracle_components": "oracle",
+    "oracle_shortest_s_path": "oracle",
+    "s_line_graph": "oracle",
+    "verify_isomorphism": "oracle",
+    "chung_lu_hypergraph": "generate",
+    "uniform_hypergraph": "generate",
+}
+
+
+def __getattr__(name: str):
+    source = _LAZY.get(name)
+    if source == "oracle":
+        from . import oracle as module
+    elif source == "generate":
+        from . import generate as module
+    else:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(module, name)
 
 __all__ = [
     "Concept",

@@ -6,6 +6,8 @@ be written, 2 for verification mismatches, 3 when no s-path exists.
 ``build`` reads an edge list or an incidence CSV and refuses a lattice
 document with exit 1; the query commands read all three. A command returns
 its text and ``main`` writes it, so a command that fails writes nothing.
+``oracle`` and ``generate`` are imported only by the commands that use
+them (``build --verify``, ``gen`` and ``bench``).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import sys
 import time
 import warnings
 
-from . import analytics, formats, generate, lattice, oracle
+from . import analytics, formats, lattice
 from .core import SizeLimitError, dedup_edges
 
 EXIT_OK = 0
@@ -102,6 +104,8 @@ def _cmd_build(args) -> str:
     )
     lat = builder(h)
     if args.verify:
+        from . import oracle
+
         try:
             concepts = oracle.enumerate_concepts_oracle(lat.hypergraph)
             complex_sets = oracle.intersection_complex_bruteforce(lat.hypergraph)
@@ -170,6 +174,8 @@ def _cmd_stats(args) -> str:
 
 
 def _cmd_gen(args) -> str:
+    from . import generate
+
     try:
         if args.model == "chung-lu":
             h = generate.chung_lu_hypergraph(
@@ -191,6 +197,8 @@ def _cmd_bench(args) -> str:
         raise CommandError(f"invalid --sizes value {args.sizes!r}", EXIT_PARSE)
     if not sizes or any(n <= 0 for n in sizes) or args.repeats < 1:
         raise CommandError("sizes and repeats must be positive", EXIT_PARSE)
+    from . import generate
+
     rows = ["n_vertices,n_edges,repeat,lattice_nodes,naive_seconds,vectorized_seconds"]
     for n_edges in sizes:
         n_vertices = 2 * n_edges

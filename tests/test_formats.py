@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 import re
+import tracemalloc
 import warnings
 
 import pytest
@@ -206,6 +208,9 @@ TAMPERS = [
                  id="cover-false"),
     pytest.param(_put(1.0, "covers", 0, 1),
                  "stored covers disagree with node extents", id="cover-float"),
+    pytest.param(_put(2**64, "covers", 0, 1),
+                 "stored covers disagree with node extents",
+                 id="cover-overflows"),
     pytest.param(_drop("top"),
                  "document: 'top' is missing or not an integer", id="no-top"),
     pytest.param(_put("12", "top"),
@@ -223,6 +228,21 @@ TAMPERS = [
                  id="bottom-float"),
     pytest.param(_put(1, "bottom"), "stored bottom id is wrong",
                  id="bottom-wrong"),
+    # Two faults: the loader reads the covers, top and bottom before the
+    # walk but checks them after it, so the earlier fault's message wins.
+    pytest.param(_each(_drop("covers"), _put(["z"], "nodes", 1, "extent")),
+                 "node 1: unknown name 'z' in 'extent'",
+                 id="unknown-name-and-no-covers"),
+    pytest.param(_each(_put(["5"], "nodes", 3, "intent"),
+                       _put(["1"], "nodes", 1, "intent"),
+                       _put(True, "covers", 0, 1)),
+                 "node 1: stored intent disagrees with edge columns",
+                 id="intents-disagree-and-cover-bool"),
+    pytest.param(_each(_put(True, "covers", 0, 1), _put("12", "top")),
+                 "stored covers disagree with node extents",
+                 id="cover-bool-and-top-string"),
+    pytest.param(_each(_put(11, "top"), _drop("bottom")),
+                 "stored top id is wrong", id="top-wrong-and-no-bottom"),
 ]
 
 
@@ -738,6 +758,32 @@ class TestLatticeDocument:
         doc["nodes"][1]["intent"] = ["1"]
         with pytest.raises(ParseError):
             parse_lattice_document(json.dumps(doc))
+
+    @pytest.mark.parametrize("h", [
+        pytest.param(uniform_hypergraph(60, 40, seed=0), id="uniform-60x40"),
+        pytest.param(chung_lu_hypergraph(1000, 500, 2.2, seed=42),
+                     id="chung-lu-1000x500"),
+    ])
+    def test_load_peak_within_tree_and_lattice(self, h):
+        # The loader drops each node record once decoded and holds the
+        # covers as one array, so its allocation peak is at most that of
+        # the decoded JSON tree plus the lattice it returns. Both are
+        # measured here, so the bound holds whatever an object's size.
+        h = parse_edge_list(format_edge_list(h))
+        text = serialize_lattice(build_quiet(build_lattice_vectorized, h))
+        gc.collect()
+        tracemalloc.start()
+        tree = json.loads(text)
+        tree_peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        del tree
+        gc.collect()
+        tracemalloc.start()
+        lat = parse_lattice_document(text)
+        kept, peak = tracemalloc.get_traced_memory()
+        tracemalloc.stop()
+        assert len(lat) > 500
+        assert peak <= tree_peak + kept
 
     def test_invalid_json(self):
         # a nesting too deep for the decoder, or an integer longer than

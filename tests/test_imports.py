@@ -38,6 +38,17 @@ def test_cli_import_leaves_pathlib_and_typing_out():
     assert _fresh_python(probe, "-S").strip() == ""
 
 
+def test_cli_import_leaves_oracle_and_generate_out():
+    # The package resolves their names on first access, and the CLI imports
+    # them only for build --verify, gen and bench.
+    probe = (
+        "import sys, hglattice.cli\n"
+        "print(*(m for m in ('hglattice.oracle', 'hglattice.generate')"
+        " if m in sys.modules))"
+    )
+    assert _fresh_python(probe, "-S").strip() == ""
+
+
 def test_star_import_resolves_all():
     # A stale name in __all__ makes the star import raise AttributeError.
     probe = (
