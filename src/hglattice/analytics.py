@@ -23,10 +23,12 @@ checked each node as it took it would stop at.
 Connectivity is read off the lattice's ``component_forest``, built with
 the lattice for every s at once: a path query whose ends lie in different
 s-components answers "disconnected" without a search, and a components
-query climbs the forest once per kept edge. It finds those edges in the
-lattice's ``edges_by_size`` by bisection and their duplicate names in
-``edge_duplicates``, so it reads no edge that s drops. Queries write
-nothing, so they are safe to run concurrently.
+query climbs the forest once per kept edge. Both climb it inline, with no
+call per node. A components query finds the kept edges as a suffix of the
+lattice's ``edges_by_size``, by bisecting ``sorted_edge_sizes`` with no
+key, and their duplicate names in ``edge_duplicates``, so it reads no
+edge that s drops. Queries write nothing, so they are safe to run
+concurrently.
 """
 
 from __future__ import annotations
@@ -90,14 +92,6 @@ def prune(lat: ConceptLattice, s: int) -> PrunedLatticeView:
         for i in sorted(retained)
     }
     return PrunedLatticeView(lat, s, retained, adjacency)
-
-
-def _component(lat: ConceptLattice, node: int, s: int) -> int:
-    """The node that names the s-component of a node kept at s."""
-    parent, level = lat.component_forest
-    while level[node] >= s:
-        node = parent[node]
-    return node
 
 
 def _edge_search(lat: ConceptLattice, s: int, source: int, target: int):
@@ -217,18 +211,31 @@ def shortest_s_path(
     NoSPathError, before any search, when an endpoint is pruned at this s
     or the endpoints fall in different s-connected components.
     """
-    _check_s(s)
-    a, b = lat.resolve_edge(source), lat.resolve_edge(target)
-    src, dst = lat.edge_anchors[a], lat.edge_anchors[b]
-    for role, name, node in (("source", source, src), ("target", target, dst)):
-        # An anchor is a hyperedge, so only its size can prune it.
-        if lat.extent_sizes[node] < s:
-            raise NoSPathError(
-                f"no {s}-path: {role} edge {name!r} has fewer than {s} "
-                f"{'vertex' if s == 1 else 'vertices'} and is pruned",
-                reason=f"{role}-pruned",
-            )
-    if _component(lat, src, s) != _component(lat, dst, s):
+    # Every query pays for these checks, so they run inline: ``_check_s``,
+    # ``lat.resolve_edge`` for each name, the prune checks, the climbs.
+    if s < 1:
+        raise ValueError(f"s must be a positive integer, got {s}")
+    try:
+        a = lat.edge_aliases[source]
+        b = lat.edge_aliases[target]
+    except KeyError as exc:
+        raise KeyError(f"unknown edge name {exc.args[0]!r}") from None
+    u, v = lat.edge_anchors[a], lat.edge_anchors[b]
+    sizes = lat.extent_sizes
+    # An anchor is a hyperedge, so only its size can prune it.
+    if sizes[u] < s or sizes[v] < s:
+        role, name = ("source", source) if sizes[u] < s else ("target", target)
+        raise NoSPathError(
+            f"no {s}-path: {role} edge {name!r} has fewer than {s} "
+            f"{'vertex' if s == 1 else 'vertices'} and is pruned",
+            reason=f"{role}-pruned",
+        )
+    parent, level = lat.component_forest
+    while level[u] >= s:
+        u = parent[u]
+    while level[v] >= s:
+        v = parent[v]
+    if u != v:
         raise NoSPathError(
             f"no {s}-path: edges {source!r} and {target!r} lie in different "
             f"{s}-connected components",
@@ -248,24 +255,27 @@ def s_connected_components(lat: ConceptLattice, s: int) -> list[tuple[str, ...]]
     """s-connected components as hyperedge name groups.
 
     The edges kept at s are the suffix of ``lat.edges_by_size`` whose
-    edges have at least s vertices, so the query reads only those. Taken
-    in index order, each edge's anchor climbs ``lat.component_forest`` to
-    the node that names its s-component, and components are numbered as
-    their nodes are first reached: by their smallest source edge index.
+    edges have at least s vertices, found by bisecting
+    ``lat.sorted_edge_sizes``, so the query reads only those. Taken in
+    index order, each edge's anchor climbs ``lat.component_forest`` to the
+    node that names its s-component, and components are numbered as their
+    nodes are first reached: by their smallest source edge index.
     Members are the representative edges in edge order, then their
     duplicates from ``lat.edge_duplicates``, sorted by name, the order of
     ``lat.edge_aliases``.
     """
     _check_s(s)
-    by_size = lat.edges_by_size
-    kept = by_size[bisect_left(by_size, s, key=lat.edge_size):]
+    kept = lat.edges_by_size[bisect_left(lat.sorted_edge_sizes, s):]
     anchors, names = lat.edge_anchors, lat.hypergraph.edge_names
+    parent, level = lat.component_forest
     duplicates = lat.edge_duplicates
     # component's node -> its members, in the order the nodes are reached
     groups: dict[int, list[str]] = {}
     extra: dict[int, list[str]] = {}  # component's node -> its duplicates
     for j in sorted(kept):
-        root = _component(lat, anchors[j], s)
+        root = anchors[j]
+        while level[root] >= s:
+            root = parent[root]
         groups.setdefault(root, []).append(names[j])
         if j in duplicates:
             extra.setdefault(root, []).extend(duplicates[j])

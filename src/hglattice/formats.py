@@ -290,8 +290,9 @@ def parse_lattice_document(text: str) -> ConceptLattice:
     constructor run beside bit sets; each extent the walk finds replaces
     its decoded copy. Measured with ``tracemalloc``, text excluded (tree,
     lattice, load peak): 2.07, 0.52 and 2.08 MB at uniform 60x40; 2.67,
-    0.90 and 2.74 MB at Chung-Lu 2000x1000; 13.8, 7.7 and 17.4 MB at
-    Chung-Lu 8000x4000, where the constructor sets the peak.
+    0.90 and 2.74 MB at Chung-Lu 2000x1000; 13.8, 7.7 and 14.7 MB at
+    Chung-Lu 8000x4000, where the constructor and the checks after it
+    set the peak.
     """
     # JSONDecodeError is a ValueError, and so is the int-string limit's
     # error for an integer of too many digits.

@@ -74,8 +74,11 @@ class ConceptLattice:
     passes. ``edge_duplicates`` inverts that duplicate part, as
     ``anchored_edges`` inverts ``edge_anchors``: it maps each edge that
     has duplicates to their names, sorted. ``edges_by_size`` lists the
-    edges in ascending order of ``edge_size``, ties by index, so the edges
-    with at least s vertices, those an s-query keeps, are a suffix of it.
+    edges in ascending order of size (their anchors' extent sizes), ties
+    by index, and ``sorted_edge_sizes`` holds those sizes in the same
+    order, so the edges with at least s vertices, those an s-query keeps,
+    are the suffix of ``edges_by_size`` from where s bisects
+    ``sorted_edge_sizes``.
 
     The covers are the only stored order: ``lower_covers[i]`` and
     ``upper_covers[i]`` hold node i's lower and upper covers, each
@@ -106,54 +109,67 @@ class ConceptLattice:
         }
         self.edge_aliases.update(sorted(edge_aliases.items()))
         width = (hypergraph.n_vertices + 7) // 8
-        extents = sorted(found, key=lambda e: (
+        self.extent_bits = extents = tuple(sorted(found, key=lambda e: (
             e.bit_count(), e.to_bytes(width, "little").translate(_SORT_BYTE)
-        ))
+        )))
         index = {e: i for i, e in enumerate(extents)}
-        lower = [sorted(map(index.__getitem__, found[e])) for e in extents]
+        # Each working list and dict is dropped as soon as what it builds is
+        # stored, so the constructor's peak stays near the lattice it keeps.
+        self.lower_covers = lower = tuple(
+            tuple(sorted(map(index.__getitem__, found[e]))) for e in extents
+        )
         self.edge_anchors = tuple(index[col] for col in hypergraph.chi.columns)
-        intents = [0] * len(extents)
+        del index
+        self.extent_sizes = sizes = tuple(map(int.bit_count, extents))
+        n = len(extents)
+        intents = [0] * n
         anchored: dict[int, list[int]] = {}
         for j, node in enumerate(self.edge_anchors):
             intents[node] |= 1 << j
             anchored.setdefault(node, []).append(j)
         # Upper covers sort after a node, so walking down from the top pushes
         # each intent on only once it is complete.
-        for i in range(len(lower) - 1, -1, -1):
+        for i in range(n - 1, -1, -1):
             for k in lower[i]:
                 intents[k] |= intents[i]
-        self.extent_sizes = tuple(map(int.bit_count, extents))
-        self.extent_bits = tuple(extents)
         self.intent_bits = tuple(intents)
+        del intents
         # Anchor node -> the edges anchored there, ascending; nodes that
         # anchor no edge are absent.
         self.anchored_edges = {node: tuple(js) for node, js in anchored.items()}
-        # sorted() is stable, so edges of one size stay in index order.
+        del anchored
+        # sorted() is stable, so edges of one size stay in index order, and
+        # the sizes in that order ascend: bisecting them needs no key.
+        edge_sizes = [sizes[node] for node in self.edge_anchors]
         self.edges_by_size = tuple(
-            sorted(range(hypergraph.n_edges), key=self.edge_size)
+            sorted(range(hypergraph.n_edges), key=edge_sizes.__getitem__)
         )
+        self.sorted_edge_sizes = tuple(sorted(edge_sizes))
         # The aliases past the representatives are the duplicates, by name.
         duplicates: dict[int, list[str]] = {}
         aliases = islice(self.edge_aliases.items(), hypergraph.n_edges, None)
         for name, j in aliases:
             duplicates.setdefault(j, []).append(name)
         self.edge_duplicates = {j: tuple(ns) for j, ns in duplicates.items()}
-        # i ascends, so each upper row comes out ascending.
-        upper: list[list[int]] = [[] for _ in extents]
+        # i ascends, so each upper row comes out ascending. Each row is
+        # then swapped for its tuple in place, so the lists and the tuples
+        # are never all held at once.
+        upper = [[] for _ in range(n)]
         for i, row in enumerate(lower):
             for j in row:
                 upper[j].append(i)
-        self.lower_covers = tuple(map(tuple, lower))
-        self.upper_covers = tuple(map(tuple, upper))
-        n = len(extents)
+        for i, row in enumerate(upper):
+            upper[i] = tuple(row)
+        self.upper_covers = tuple(upper)
+        del upper
         parent, level, weight = list(range(n)), [0] * n, [1] * n
         hidden = self.hidden_top
         for i in range(n - 1, -1, -1):
-            k = self.extent_sizes[i]
+            k = sizes[i]
             if i == hidden or not k:
                 continue
             root = i
-            for u in upper[i]:
+            for u in self.upper_covers[i]:
                 if u == hidden:
                     continue
                 while parent[u] != u:
@@ -164,6 +180,7 @@ class ConceptLattice:
                     parent[root], level[root] = u, k
                     weight[u] += weight[root]
                     root = u
+        del weight
         self.component_forest = (tuple(parent), tuple(level))
 
     @property
@@ -206,10 +223,6 @@ class ConceptLattice:
         return tuple(
             (i, j) for i, ups in enumerate(self.upper_covers) for j in ups
         )
-
-    def edge_size(self, edge: int) -> int:
-        """Vertex count of deduplicated edge ``edge``."""
-        return self.extent_sizes[self.edge_anchors[edge]]
 
     def node_label(self, node: int) -> str:
         """Galois label ``{extent names} : {intent names}``."""

@@ -569,11 +569,15 @@ class TestLastWalkStopsOnReach:
         for seed, lat in enumerate(lattices):
             anchors, sizes = lat.edge_anchors, lat.extent_sizes
             columns = lat.hypergraph.chi.columns
+            parent, level = lat.component_forest
             for s in range(1, 5):
-                roots = {
-                    a: analytics._component(lat, anchors[a], s)
-                    for a in range(lat.hypergraph.n_edges) if sizes[anchors[a]] >= s
-                }
+                roots = {}
+                for a in range(lat.hypergraph.n_edges):
+                    if sizes[anchors[a]] >= s:
+                        root = anchors[a]
+                        while level[root] >= s:
+                            root = parent[root]
+                        roots[a] = root
                 for a in roots:
                     for b in roots:
                         if roots[a] != roots[b]:

@@ -310,6 +310,28 @@ class TestPath:
         )
         assert code == 1
 
+    @pytest.mark.parametrize("s, source, target, code, err", [
+        ("2", "7", "3", 3,
+         "no 2-path: source edge '7' has fewer than 2 vertices and is pruned"),
+        ("2", "3", "7", 3,
+         "no 2-path: target edge '7' has fewer than 2 vertices and is pruned"),
+        ("2", "3", "5", 3,
+         "no 2-path: edges '3' and '5' lie in different 2-connected components"),
+        ("1", "98", "3", 1, "unknown edge name '98'"),
+        ("1", "3", "99", 1, "unknown edge name '99'"),
+        ("0", "3", "5", 1, "--s must be a positive integer"),
+        # two faults: the first check in the order above answers
+        ("3", "3", "7", 3,
+         "no 3-path: source edge '3' has fewer than 3 vertices and is pruned"),
+        ("2", "7", "99", 1, "unknown edge name '99'"),
+        ("1", "98", "99", 1, "unknown edge name '98'"),
+        ("0", "98", "99", 1, "--s must be a positive integer"),
+    ])
+    def test_no_answer(self, capsys, groups_csv, s, source, target, code, err):
+        # 7 = {g}, 3 = {a, d}; at s = 2 the components are 1-4 and 5-6
+        got = run(capsys, "path", groups_csv, "--s", s, "--from", source, "--to", target)
+        assert got == (code, "", f"error: {err}\n")
+
 
 class TestComponents:
     def test_s2(self, capsys, groups_csv):
