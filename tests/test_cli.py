@@ -524,6 +524,14 @@ class TestGen:
         (("--vertices", "1000", "--edges", "500", "--power-exponent", "2.2",
           "--seed", "42"),
          "a747ff79590cf1c9c4d3533936157e07849a034df4d03f62c05144fe5c780e2b"),
+        # the exponent sets the spread of the weights, so how many octaves
+        # of vertex weight the generator's candidate bound uses
+        (("--vertices", "2000", "--edges", "1000", "--power-exponent", "2.0",
+          "--seed", "42"),
+         "717f1fa6e8aa5574acc8716cac18e8642b4c131ebdd1a7f9a1e425fbeb108191"),
+        (("--vertices", "2000", "--edges", "1000", "--power-exponent", "3.0",
+          "--seed", "42"),
+         "1a05c881d521a4095fa8b49e8f0715626e31e93fc1209a83cfb136edba3cb6cf"),
     ])
     def test_chung_lu_output_is_pinned(self, capsys, argv, digest):
         code, out, _ = run(capsys, "gen", *argv)
